@@ -25,6 +25,7 @@ from .design import (
     design_improvement,
     design_optimality,
     pareto_front,
+    recover_A,
 )
 from .errors import (
     ConescoreError,
@@ -40,7 +41,6 @@ from .linalg import (
     numeric_rank,
     orthonormal_basis,
     project_complement,
-    recover_A,
 )
 from .lp import (
     FeasibilityProblem,

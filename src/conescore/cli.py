@@ -25,12 +25,13 @@ from .design import (
     MetricSpace,
     Objective,
     Restriction,
+    ScoreDesign,
     design_both,
     design_improvement,
     design_optimality,
 )
 from .errors import InputError, ResourceCapError
-from .linalg import Tolerances, compute_affine_hull
+from .linalg import Tolerances, as_matrix, numeric_rank
 from .ranks import cone_generating_rank, cone_rank, cone_subset_rank, RankResult
 from .verify import check_improvement, check_optimality, check_restriction
 
@@ -52,18 +53,6 @@ class ProblemFile:
     assert_relint_nonempty: bool
     design_A: np.ndarray | None
     raw: dict
-
-
-def _load_matrix(obj, name: str) -> np.ndarray:
-    try:
-        M = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{name}: not a numeric matrix ({exc})") from None
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
-    if M.ndim != 2 or not np.all(np.isfinite(M)):
-        raise InputError(f"{name}: expected a finite 2-D matrix")
-    return M
 
 
 def load_problem(path: str, as_csv: bool = False, csv_role: str = "metrics_samples",
@@ -104,16 +93,16 @@ def load_problem(path: str, as_csv: bool = False, csv_role: str = "metrics_sampl
 
     design_A = None
     if isinstance(doc.get("design"), dict) and doc["design"].get("A") is not None:
-        design_A = _load_matrix(doc["design"]["A"], "design.A")
+        design_A = as_matrix(doc["design"]["A"], "design.A")
 
     return ProblemFile(
         metrics_samples=(
-            _load_matrix(doc["metrics_samples"], "metrics_samples")
+            as_matrix(doc["metrics_samples"], "metrics_samples")
             if doc.get("metrics_samples") is not None
             else None
         ),
         generators=(
-            _load_matrix(doc["generators"], "generators")
+            as_matrix(doc["generators"], "generators")
             if doc.get("generators") is not None
             else None
         ),
@@ -204,17 +193,16 @@ def cmd_rank(in_path: str, out_path: str, *, kind: str = "all", csv_input: bool 
     p = load_problem(in_path, csv_input, "generators", tol_overrides)
     W = _need_generators(p)
     tol = p.tolerances
+    dec = decompose(W, tol)
     ranks: dict = {}
     if kind in ("csr", "all"):
-        ranks["csr"] = _rank_payload(cone_subset_rank(W, tol, max_lineality_dim))
+        ranks["csr"] = _rank_payload(cone_subset_rank(W, tol, max_lineality_dim, dec))
     if kind in ("cgr", "all"):
-        ranks["cgr"] = _rank_payload(cone_generating_rank(W, tol))
+        ranks["cgr"] = _rank_payload(cone_generating_rank(W, tol, dec))
     if kind in ("cr", "all"):
-        ranks["cr"] = _rank_payload(cone_rank(W, tol))
+        ranks["cr"] = _rank_payload(cone_rank(W, tol, dec))
     payload: dict = {"ranks": ranks, "m": W.m}
     if kind == "all":
-        from .linalg import numeric_rank
-
         r = numeric_rank(W.generators, tol)
         chain = (
             W.m >= ranks["csr"]["value"] >= ranks["cgr"]["value"] >= ranks["cr"]["value"] >= r
@@ -280,8 +268,6 @@ def cmd_verify(in_path: str, out_path: str, *, tol_overrides: dict | None = None
         raise InputError(
             f"design A has {A.shape[1]} columns, samples have dim {space.dim}"
         )
-    from .design import ScoreDesign
-
     declared_res = p.restriction or Restriction.RES_L
     design = ScoreDesign(
         A=A, k=A.shape[0], restriction=declared_res,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cone import GeneratorSet
 from .errors import InputError
-from .linalg import AffineHull, DEFAULT_TOL, Tolerances, compute_affine_hull, recover_A
+from .linalg import AffineHull, DEFAULT_TOL, Tolerances, as_matrix, compute_affine_hull
 from .ranks import (
     DEFAULT_MAX_LINEALITY_DIM,
     RankKind,
@@ -35,6 +35,7 @@ __all__ = [
     "design_optimality",
     "design_both",
     "pareto_front",
+    "recover_A",
 ]
 
 
@@ -66,11 +67,9 @@ class MetricSpace:
     def from_samples(
         cls, samples, relint_nonempty: bool = False, tol: Tolerances = DEFAULT_TOL
     ) -> "MetricSpace":
-        F = np.asarray(samples, dtype=float)
-        if F.ndim == 1:
-            F = F.reshape(1, -1)
-        if F.size == 0 or not np.all(np.isfinite(F)):
-            raise InputError("samples must be a nonempty finite array")
+        F = as_matrix(samples, "samples")
+        if F.size == 0:
+            raise InputError("samples must be nonempty")
         return cls(F, compute_affine_hull(F, tol), relint_nonempty)
 
     @property
@@ -112,6 +111,39 @@ def _degenerate(space: MetricSpace, restriction, objective) -> ScoreDesign:
         minimality_certified=False,
         warnings=("degenerate metric space: affine hull is a point, k = 0",),
     )
+
+
+def recover_A(V, Z, restriction, selected_indices=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Recover a k x d score matrix A with A Z = V.
+
+    For coordinate selection the rows of V must be rows of Z and A gets 1-hot
+    rows picking those coordinates (selected_indices, when given, names them
+    directly).  Otherwise the minimum-norm solution A = V Z^T is returned.
+    """
+    V = np.asarray(V, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    if V.ndim == 1:
+        V = V.reshape(1, -1)
+    d = Z.shape[0]
+    if restriction == Restriction.RES_CS:
+        k = V.shape[0]
+        A = np.zeros((k, d))
+        for i in range(k):
+            if selected_indices is not None:
+                j = int(selected_indices[i])
+                if not np.allclose(Z[j], V[i], atol=10 * tol.rank_tol):
+                    raise InputError("not coordinate-selectable")
+            else:
+                matches = [
+                    j for j in range(d)
+                    if np.allclose(Z[j], V[i], atol=10 * tol.rank_tol)
+                ]
+                if not matches:
+                    raise InputError("not coordinate-selectable")
+                j = matches[0]
+            A[i, j] = 1.0
+        return A
+    return V @ Z.T
 
 
 def _improvement_design(

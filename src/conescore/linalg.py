@@ -1,9 +1,8 @@
 """Dense real linear-algebra primitives shared by every other module.
 
-Numerical rank, orthonormal bases, affine hulls, complement projections, and
-recovery of a score matrix A from its coefficient form V = A Z.  Everything
-here is a pure function over immutable values; arrays handed out are never
-mutated afterwards.
+Input matrix validation, numerical rank, orthonormal bases, affine hulls and
+complement projections.  Everything here is a pure function over immutable
+values; arrays handed out are never mutated afterwards.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "orthonormal_basis",
     "compute_affine_hull",
     "project_complement",
-    "recover_A",
 ]
 
 
@@ -62,19 +60,22 @@ class AffineHull:
     dim: int
 
 
-def as_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce to a finite 2-D float array, validating shape if given."""
-    M = np.asarray(entries, dtype=float)
+def as_matrix(entries, name: str) -> np.ndarray:
+    """Coerce input to a finite 2-D float array (a vector becomes one row).
+
+    Ragged, non-numeric, non-2-D or non-finite input raises InputError naming
+    ``name``.
+    """
+    try:
+        M = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name}: not a numeric matrix ({exc})") from None
     if M.ndim == 1:
         M = M.reshape(1, -1)
     if M.ndim != 2:
-        raise InputError(f"expected a 2-D matrix, got ndim={M.ndim}")
+        raise InputError(f"{name}: expected a 2-D matrix, got ndim={M.ndim}")
     if not np.all(np.isfinite(M)):
-        raise InputError("matrix entries must be finite (no NaN/Inf)")
-    if rows is not None and M.shape[0] != rows:
-        raise InputError(f"expected {rows} rows, got {M.shape[0]}")
-    if cols is not None and M.shape[1] != cols:
-        raise InputError(f"expected {cols} cols, got {M.shape[1]}")
+        raise InputError(f"{name}: entries must be finite (no NaN/Inf)")
     return M
 
 
@@ -156,38 +157,3 @@ def project_complement(W, Z) -> np.ndarray:
     if Z.shape[1] == 0:
         return W.copy()
     return W - (W @ Z) @ Z.T
-
-
-def recover_A(V, Z, restriction, selected_indices=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Recover a k x d score matrix A with A Z = V.
-
-    For coordinate selection the rows of V must be rows of Z and A gets 1-hot
-    rows picking those coordinates (selected_indices, when given, names them
-    directly).  Otherwise the minimum-norm solution A = V Z^T is returned.
-    """
-    from .design import Restriction  # local import to avoid a cycle
-
-    V = np.asarray(V, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if V.ndim == 1:
-        V = V.reshape(1, -1)
-    d = Z.shape[0]
-    if restriction == Restriction.RES_CS:
-        k = V.shape[0]
-        A = np.zeros((k, d))
-        for i in range(k):
-            if selected_indices is not None:
-                j = int(selected_indices[i])
-                if not np.allclose(Z[j], V[i], atol=10 * tol.rank_tol):
-                    raise InputError("not coordinate-selectable")
-            else:
-                matches = [
-                    j for j in range(d)
-                    if np.allclose(Z[j], V[i], atol=10 * tol.rank_tol)
-                ]
-                if not matches:
-                    raise InputError("not coordinate-selectable")
-                j = matches[0]
-            A[i, j] = 1.0
-        return A
-    return V @ Z.T

@@ -9,7 +9,7 @@ pure-Python fallback selected at import (or forced via CONESCORE_PURE=1).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

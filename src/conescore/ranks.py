@@ -4,9 +4,12 @@
 - cone_generating_rank: fewest vectors anywhere that regenerate K_W exactly
 - cone_rank: fewest vectors whose cone merely encloses K_W
 
-Pointed cones are handled by greedy extreme-ray elimination and a separating
-hyperplane + enclosing simplex; non-pointed cones go through the lineality
-decomposition first.
+Each cone is decomposed once (callers may pass the decomposition in).
+Pointed cones are handled by single-pass extreme-ray elimination and a
+separating hyperplane + enclosing simplex; non-pointed cones add an
+(ell+1)-vector frame of the lineality space to the pointed part's witness.
+A pointed cone (ell = 0) is ranked on W itself, not on the decomposition's
+pointed_generators, which omit rows with max|w| <= cone_tol.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .cone import ConeDecomposition, GeneratorSet, decompose, is_in_cone, is_pointed
 from .errors import InputError, NotPointedError, ResourceCapError
 from .linalg import DEFAULT_TOL, Tolerances, numeric_rank, orthonormal_basis
-from .lp import FeasibilityProblem, SeparatingHyperplane, find_strict_separator, solve_feasibility
+from .lp import SeparatingHyperplane, find_strict_separator
 
 __all__ = [
     "RankKind",
@@ -66,27 +69,22 @@ class RankResult:
 
 
 def csr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
-    """Subset rank of a pointed cone by greedy elimination.
+    """Subset rank of a pointed cone by single-pass elimination.
 
-    Repeatedly drops the first row expressible as a nonnegative combination of
-    the others; the survivors are the extreme rays (final count is independent
-    of removal order, the fixed scan order just pins the witness).
+    Scans the rows once, dropping each row that is a nonnegative combination
+    of the rows still kept.  Dropping a redundant row leaves the cone
+    unchanged, so a row found extreme stays extreme and one membership test
+    per row suffices; the survivors are the extreme rays (the count is
+    independent of scan order, the fixed order just pins the witness).
     """
     if not is_pointed(W, tol):
         raise NotPointedError("requires pointed cone")
     G = W.generators
     idx = list(range(W.m))
-    changed = True
-    while changed:
-        changed = False
-        for i in idx:
-            others = [j for j in idx if j != i]
-            if not others:
-                continue
-            if is_in_cone(G[i], GeneratorSet.from_rows(G[others], dim=W.dim), tol):
-                idx.remove(i)
-                changed = True
-                break
+    for i in range(W.m):
+        others = [j for j in idx if j != i]
+        if others and is_in_cone(G[i], GeneratorSet.from_rows(G[others], dim=W.dim), tol):
+            idx.remove(i)
     return RankResult(
         kind=RankKind.CSR,
         value=len(idx),
@@ -151,34 +149,36 @@ def cone_subset_rank(
     )
 
 
-def _lineality_frame(Z: np.ndarray) -> np.ndarray:
-    # ell+1 vectors positively spanning span(Z): the basis plus the negated sum
-    zs = Z.T
-    z0 = -zs.sum(axis=0)
-    return np.vstack([z0.reshape(1, -1), zs])
+def _with_lineality_frame(kind: RankKind, dec: ConeDecomposition, pt: RankResult) -> RankResult:
+    """An (ell+1)-vector frame positively spanning the lineality space (the
+    basis plus its negated sum), followed by the pointed part's witness."""
+    zs = dec.lineality_basis.T
+    frame = np.vstack([-zs.sum(axis=0).reshape(1, -1), zs])
+    rows = np.vstack([frame, pt.witness.generators]) if pt.value else frame
+    return RankResult(
+        kind=kind,
+        value=(dec.ell + 1) + pt.value,
+        witness=GeneratorSet.from_rows(rows, dim=pt.witness.dim),
+        subset_indices=None,
+        relation=pt.relation,
+    )
 
 
-def cone_generating_rank(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
+def cone_generating_rank(
+    W: GeneratorSet, tol: Tolerances = DEFAULT_TOL, dec: ConeDecomposition | None = None
+) -> RankResult:
     """Fewest generators (from anywhere) regenerating K_W exactly.
 
     Pointed cones: identical to the subset rank (extreme rays are forced).
     Non-pointed: an (ell+1)-vector frame for the lineality space plus the
     extreme rays of the projected pointed part.
     """
-    if is_pointed(W, tol):
+    if dec is None:
+        dec = decompose(W, tol)
+    if dec.ell == 0:
         base = csr_pointed(W, tol)
         return RankResult(RankKind.CGR, base.value, base.witness, None, "equal")
-    dec = decompose(W, tol)
-    frame = _lineality_frame(dec.lineality_basis)
-    pt = csr_pointed(dec.pointed_generators, tol)
-    rows = np.vstack([frame, pt.witness.generators]) if pt.value else frame
-    return RankResult(
-        kind=RankKind.CGR,
-        value=(dec.ell + 1) + pt.value,
-        witness=GeneratorSet.from_rows(rows, dim=W.dim),
-        subset_indices=None,
-        relation="equal",
-    )
+    return _with_lineality_frame(RankKind.CGR, dec, csr_pointed(dec.pointed_generators, tol))
 
 
 def enclosing_simplex(
@@ -188,8 +188,8 @@ def enclosing_simplex(
 
     With r = dim of the hyperplane's ambient span, returns r vertices of a
     regular (r-1)-simplex with incenter at the mean of U and inradius
-    max-distance * (1 + cone_tol); containment of each point is certified by
-    a convex-combination LP.
+    max-distance * (1 + cone_tol), which contains every point of U.  No LP
+    is solved here: cr_pointed certifies the lifted witness it returns.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim == 1:
@@ -217,16 +217,7 @@ def enclosing_simplex(
     S = orthonormal_basis(E, tol)  # r x (r-1)
     Q = E @ S
     scale = rho * math.sqrt(r * (r - 1))
-    verts = ubar + (scale * Q) @ H.T
-
-    for u in U:
-        res = solve_feasibility(
-            FeasibilityProblem(M=verts, target=u, require_nonneg=True, sum_to_one=True),
-            tol,
-        )
-        if not res.feasible:  # pragma: no cover - geometric guarantee
-            raise RuntimeError("enclosing simplex failed to contain its input")
-    return verts
+    return ubar + (scale * Q) @ H.T
 
 
 def cr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
@@ -234,7 +225,8 @@ def cr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
 
     Works in the r-dimensional coefficient space of span(W): strictly separate
     the unit generators from the origin, scale them onto the hyperplane,
-    enclose them in a regular simplex, and lift the vertices back.
+    enclose them in a regular simplex, and lift the vertices back.  Every
+    generator's membership in the lifted witness is checked by one LP.
     """
     if not is_pointed(W, tol):
         raise NotPointedError("requires pointed cone")
@@ -262,18 +254,12 @@ def cr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
     return RankResult(RankKind.CR, r, witness, None, "encloses")
 
 
-def cone_rank(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
+def cone_rank(
+    W: GeneratorSet, tol: Tolerances = DEFAULT_TOL, dec: ConeDecomposition | None = None
+) -> RankResult:
     """Fewest vectors whose cone encloses K_W: r if pointed, r+1 otherwise."""
-    if is_pointed(W, tol):
+    if dec is None:
+        dec = decompose(W, tol)
+    if dec.ell == 0:
         return cr_pointed(W, tol)
-    dec = decompose(W, tol)
-    frame = _lineality_frame(dec.lineality_basis)
-    pt = cr_pointed(dec.pointed_generators, tol)
-    rows = np.vstack([frame, pt.witness.generators]) if pt.value else frame
-    return RankResult(
-        kind=RankKind.CR,
-        value=(dec.ell + 1) + pt.value,
-        witness=GeneratorSet.from_rows(rows, dim=W.dim),
-        subset_indices=None,
-        relation="encloses",
-    )
+    return _with_lineality_frame(RankKind.CR, dec, cr_pointed(dec.pointed_generators, tol))

@@ -48,6 +48,24 @@ class TestRank:
         }
         assert res["chain_ok"] is True
 
+    def test_all_kinds_decompose_once(self, tmp_path, monkeypatch):
+        import conescore.cli
+        import conescore.ranks
+
+        calls = []
+        real = conescore.ranks.decompose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conescore.cli, "decompose", counting)
+        monkeypatch.setattr(conescore.ranks, "decompose", counting)
+        code, _ = run(tmp_path, "rank", load_fixture("nonpointed_5d_generators.json"),
+                      "--kind", "all")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_square_cone_all(self, tmp_path):
         code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"))
         assert code == 0
@@ -144,6 +162,11 @@ class TestErrorsAndDeterminism:
     def test_malformed_json(self, tmp_path):
         code, _ = run(tmp_path, "rank", "{not json")
         assert code == 2
+        # ragged or non-numeric matrices are input errors, not tracebacks
+        for command, key in (("rank", "generators"), ("design", "metrics_samples")):
+            for bad in ([[1.0, 2.0], [3.0]], [["a", "b"]], [[[1.0]], [[2.0]]]):
+                code, _ = run(tmp_path, command, {key: bad})
+                assert code == 2
 
     def test_missing_generators(self, tmp_path):
         code, _ = run(tmp_path, "rank", {"metrics_samples": [[1, 2]]})

@@ -52,14 +52,35 @@ class TestCsrPointed:
             csr_pointed(fixture_generators("line_2d.json"))
 
     def test_witness_minimality(self, rng):
-        # dropping any witness row loses some original generator
+        # dropping any witness row loses some original generator, also when W
+        # holds a duplicated direction and an interior row
         G = random_pointed_rows(rng, 8, 3)
+        G = np.vstack([G, 3.0 * G[2], rng.random(8) @ G])
         W = GeneratorSet.from_rows(G)
         res = csr_pointed(W)
         V = res.witness.generators
         for drop in range(res.value):
             reduced = GeneratorSet.from_rows(np.delete(V, drop, axis=0), dim=W.dim)
             assert not all(is_in_cone(w, reduced) for w in W.generators)
+
+    def test_one_membership_test_per_row(self, rng, monkeypatch):
+        # a redundant row leaves the cone unchanged, so one scan suffices
+        import conescore.ranks
+
+        G = random_pointed_rows(rng, 6, 3)
+        G = np.vstack([2.0 * G[1], G, rng.random(6) @ G, G[4]])
+        calls = []
+        real = conescore.ranks.is_in_cone
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conescore.ranks, "is_in_cone", counting)
+        W = GeneratorSet.from_rows(G)
+        res = csr_pointed(W)
+        assert len(calls) <= W.m
+        assert res.value < W.m - 2
 
 
 class TestCsrSubspace:
