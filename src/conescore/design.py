@@ -265,12 +265,43 @@ def design_both(
     )
 
 
+# cells per boolean matrix in one block of the pairwise scans: a block of
+# rows against all N rows stays small whatever N is
+_BLOCK_CELLS = 1 << 14
+
+
+def _tolerant_order(S: np.ndarray, eps: float, rows=None):
+    """Yield (idx, geq, ahead) for blocks of candidate rows of S.
+
+    For candidate row i = idx[a] and every row j of S,
+    geq[a, j] = all(S[j] >= S[i] - eps) and ahead[a, j] = any(S[j] > S[i] + eps).
+    Candidates are all rows, or the row indices in rows, in order.  The
+    matrices are built one coordinate at a time, so no block allocates more
+    than about _BLOCK_CELLS cells per matrix.
+    """
+    n, d = S.shape
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    cols = np.ascontiguousarray(S.T)
+    step = max(1, _BLOCK_CELLS // max(n, 1))
+    for start in range(0, rows.size, step):
+        idx = rows[start:start + step]
+        R = S[idx]
+        lo = R - eps
+        hi = R + eps
+        geq = np.ones((idx.size, n), dtype=bool)
+        ahead = np.zeros((idx.size, n), dtype=bool)
+        for c in range(d):
+            geq &= cols[c] >= lo[:, c, None]
+            ahead |= cols[c] > hi[:, c, None]
+        yield idx, geq, ahead
+
+
 def pareto_front(points, score=None, tol: Tolerances = DEFAULT_TOL) -> list[int]:
     """Indices of points not dominated under the (optionally scored) order.
 
     j dominates i when score(f_j) >= score(f_i) - cone_tol componentwise with
     at least one coordinate ahead by more than cone_tol.  Without a score the
-    raw metric order is used.
+    raw metric order is used.  O(N^2 d) time in bounded-memory row blocks.
     """
     F = np.asarray(points, dtype=float)
     if F.ndim == 1:
@@ -278,11 +309,7 @@ def pareto_front(points, score=None, tol: Tolerances = DEFAULT_TOL) -> list[int]
     if F.shape[0] == 0:
         raise InputError("pareto_front needs at least one point")
     S = F if score is None else F @ np.asarray(score, dtype=float).T
-    eps = tol.cone_tol
     front = []
-    for i in range(S.shape[0]):
-        geq = np.all(S >= S[i] - eps, axis=1)
-        ahead = np.any(S > S[i] + eps, axis=1)
-        if not np.any(geq & ahead):
-            front.append(i)
+    for idx, geq, ahead in _tolerant_order(S, tol.cone_tol):
+        front.extend(idx[~np.any(geq & ahead, axis=1)].tolist())
     return front

@@ -64,8 +64,12 @@ class RankResult:
     relation: str
 
     def __post_init__(self) -> None:
-        assert self.relation in ("equal", "encloses")
-        assert self.value == self.witness.m
+        if self.relation not in ("equal", "encloses"):
+            raise ValueError(f"unknown rank relation {self.relation!r}")
+        if self.value != self.witness.m:
+            raise ValueError(
+                f"rank value {self.value} differs from witness size {self.witness.m}"
+            )
 
 
 def csr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import GeneratorSet, is_in_cone
-from .design import Restriction, ScoreDesign, pareto_front
+from .design import Restriction, ScoreDesign, _tolerant_order, pareto_front
 from .linalg import AffineHull, DEFAULT_TOL, Tolerances
 
 __all__ = [
@@ -36,7 +36,19 @@ class VerificationReport:
     check_name: str
 
     def __post_init__(self) -> None:
-        assert self.passed == (len(self.violations) == 0)
+        if self.passed != (len(self.violations) == 0):
+            raise ValueError(
+                f"report {self.check_name!r}: passed={self.passed} "
+                f"with {len(self.violations)} violations"
+            )
+
+
+def _lead(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """max(f_i - f_j) over the coordinates, for each index pair (i, j)."""
+    lead = cols[0][i] - cols[0][j]
+    for col in cols[1:]:
+        np.maximum(lead, col[i] - col[j], out=lead)
+    return lead
 
 
 def check_improvement(
@@ -45,18 +57,20 @@ def check_improvement(
     """Score order must imply metric order on every ordered sample pair."""
     F = np.asarray(samples, dtype=float)
     S = F @ design.A.T
+    cols = np.ascontiguousarray(F.T)
     eps = tol.cone_tol
     n = F.shape[0]
     violations = []
-    for i in range(n):
-        score_geq = np.all(S >= S[i] - eps, axis=1)  # A f_j >= A f_i
-        metric_geq = np.all(F >= F[i] - eps, axis=1)
-        bad = np.nonzero(score_geq & ~metric_geq)[0]
-        for j in bad:
-            if j == i:
-                continue
-            violations.append(((i, int(j)), float(np.max(F[i] - F[j]) - eps)))
-    violations.sort()
+    # S and F have the same rows, so the two scans yield the same blocks
+    blocks = zip(_tolerant_order(S, eps), _tolerant_order(F, eps))
+    for (idx, score_geq, _), (_, metric_geq, _) in blocks:
+        bad = score_geq & ~metric_geq  # A f_j >= A f_i but not f_j >= f_i
+        bad[np.arange(idx.size), idx] = False
+        a, j = np.nonzero(bad)  # row-major, so sorted by (i, j)
+        if a.size:
+            rows = idx.tolist()  # one int object per row, shared by its pairs
+            pairs = zip(map(rows.__getitem__, a.tolist()), j.tolist())
+            violations.extend(zip(pairs, (_lead(cols, idx[a], j) - eps).tolist()))
     return VerificationReport(
         passed=not violations,
         checked_pairs=n * (n - 1),
@@ -68,21 +82,21 @@ def check_improvement(
 def check_optimality(
     design: ScoreDesign, samples, tol: Tolerances = DEFAULT_TOL
 ) -> VerificationReport:
-    """Pareto-optimal points of the scores must be Pareto-optimal raw."""
+    """Pareto-optimal points of the scores must be Pareto-optimal raw.
+
+    A score-front point fails when some sample dominates it raw; its value is
+    the largest lead max(f_j - f_i) over its dominators j.
+    """
     F = np.asarray(samples, dtype=float)
     front_s = pareto_front(F, design.A, tol)
-    front_f = set(pareto_front(F, None, tol))
+    cols = np.ascontiguousarray(F.T)
     violations = []
-    for i in front_s:
-        if i in front_f:
-            continue
-        dominators = [
-            float(np.max(F[j] - F[i]))
-            for j in range(F.shape[0])
-            if np.all(F[j] >= F[i] - tol.cone_tol) and np.any(F[j] > F[i] + tol.cone_tol)
-        ]
-        violations.append((i, max(dominators, default=0.0)))
-    violations.sort()
+    for idx, geq, ahead in _tolerant_order(F, tol.cone_tol, front_s):
+        a, j = np.nonzero(geq & ahead)
+        if a.size:
+            rows, starts = np.unique(a, return_index=True)
+            lead = np.maximum.reduceat(_lead(cols, j, idx[a]), starts)
+            violations.extend(zip(idx[rows].tolist(), lead.tolist()))
     return VerificationReport(
         passed=not violations,
         checked_pairs=len(front_s),

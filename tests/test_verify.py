@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import conescore
 from conescore import (
     GeneratorSet,
     MetricSpace,
@@ -14,7 +21,9 @@ from conescore import (
     check_restriction,
     cone_generating_rank,
     design_improvement,
+    pareto_front,
 )
+from conescore.design import _BLOCK_CELLS
 from conftest import TOL, fixture_generators, l1_ball_samples, linf_grid, load_fixture
 
 
@@ -142,3 +151,152 @@ def test_monotone_improvement_implies_optimality(rng):
             hits += 1
             assert check_optimality(design, F).passed
     assert hits > 0
+
+
+class TestReportInvariants:
+    def test_inconsistent_results_raise_under_optimize(self):
+        # the invariants must hold with asserts stripped (python -O)
+        code = textwrap.dedent("""
+            from conescore import GeneratorSet, RankKind, RankResult, VerificationReport
+            if __debug__:
+                raise SystemExit("asserts are not stripped")
+            ray = GeneratorSet.from_rows([[1.0, 0.0]])
+            for build in (
+                lambda: VerificationReport(True, 2, ((0, 1.0),), "improvement"),
+                lambda: VerificationReport(False, 2, (), "improvement"),
+                lambda: RankResult(RankKind.CSR, 2, ray, None, "equal"),
+                lambda: RankResult(RankKind.CSR, 1, ray, None, "maybe"),
+            ):
+                try:
+                    build()
+                except ValueError:
+                    continue
+                raise SystemExit("accepted an inconsistent result")
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(conescore.__file__)))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+# Reference oracles: the per-row loops the vectorized scans replaced.  The
+# comparisons and the arithmetic are the same, so results must be equal.
+
+def reference_pareto_front(points, score=None, tol=TOL):
+    F = np.asarray(points, dtype=float)
+    S = F if score is None else F @ np.asarray(score, dtype=float).T
+    eps = tol.cone_tol
+    front = []
+    for i in range(S.shape[0]):
+        geq = np.all(S >= S[i] - eps, axis=1)
+        ahead = np.any(S > S[i] + eps, axis=1)
+        if not np.any(geq & ahead):
+            front.append(i)
+    return front
+
+
+def reference_improvement(design, samples, tol=TOL):
+    F = np.asarray(samples, dtype=float)
+    S = F @ design.A.T
+    eps = tol.cone_tol
+    n = F.shape[0]
+    violations = []
+    for i in range(n):
+        score_geq = np.all(S >= S[i] - eps, axis=1)
+        metric_geq = np.all(F >= F[i] - eps, axis=1)
+        for j in np.nonzero(score_geq & ~metric_geq)[0]:
+            if j != i:
+                violations.append(((i, int(j)), float(np.max(F[i] - F[j]) - eps)))
+    violations.sort()
+    return n * (n - 1), tuple(violations)
+
+
+def reference_optimality(design, samples, tol=TOL):
+    F = np.asarray(samples, dtype=float)
+    eps = tol.cone_tol
+    front_s = reference_pareto_front(F, design.A, tol)
+    front_f = set(reference_pareto_front(F, None, tol))
+    violations = []
+    for i in front_s:
+        if i in front_f:
+            continue
+        dominators = [
+            float(np.max(F[j] - F[i]))
+            for j in range(F.shape[0])
+            if np.all(F[j] >= F[i] - eps) and np.any(F[j] > F[i] + eps)
+        ]
+        violations.append((i, max(dominators, default=0.0)))
+    violations.sort()
+    return len(front_s), tuple(violations)
+
+
+def with_ties(rng, base, eps):
+    """base plus duplicate rows and rows offset by +-eps and +-eps/2."""
+    m, d = base.shape
+    extra = [base[rng.integers(m, size=m // 4)]]
+    for delta in (eps, -eps, eps / 2, -eps / 2):
+        rows = base[rng.integers(m, size=m // 8)].copy()
+        rows[np.arange(len(rows)), rng.integers(d, size=len(rows))] += delta
+        extra.append(rows)
+        extra.append(base[rng.integers(m, size=m // 16)] + delta)
+    F = np.vstack([base, *extra])
+    return F[rng.permutation(len(F))]
+
+
+def assert_oracles_match(F, A):
+    space, design = manual_design(A, F)
+    assert pareto_front(F) == reference_pareto_front(F)
+    assert pareto_front(F, design.A) == reference_pareto_front(F, design.A)
+    for check, reference in ((check_improvement, reference_improvement),
+                             (check_optimality, reference_optimality)):
+        rep = check(design, F)
+        pairs, violations = reference(design, F)
+        assert rep.checked_pairs == pairs
+        assert rep.violations == violations
+        assert rep.passed == (not violations)
+
+
+class TestOraclesMatchReference:
+    N_BASE = 200
+
+    @pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (5, 3)])
+    def test_mixed_sign_scores(self, rng, d, k):
+        # a coarse grid makes many exact ties before the offsets are added
+        base = np.round(rng.standard_normal((self.N_BASE, d)) * 2) / 2
+        F = with_ties(rng, base, TOL.cone_tol)
+        assert len(F) > 3 * (_BLOCK_CELLS // len(F))  # at least 3 row blocks
+        assert_oracles_match(F, rng.standard_normal((k, d)))
+        assert_oracles_match(F, np.eye(d))
+
+    def test_score_front_of_dominated_points(self, rng):
+        # the score -I puts the shrunk copies on its front; every one of them
+        # is dominated raw, so optimality flags rows across several blocks
+        u = np.abs(rng.standard_normal((self.N_BASE // 2, 3)))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        F = with_ties(rng, np.vstack([u, 0.5 * u]), TOL.cone_tol)
+        rep = check_optimality(manual_design(-np.eye(3), F)[1], F)
+        assert len(rep.violations) > 3 * (_BLOCK_CELLS // len(F))
+        assert_oracles_match(F, -np.eye(3))
+
+    def test_single_point(self):
+        assert_oracles_match(np.array([[0.5, -1.0]]), [[1.0, -1.0]])
+
+
+class TestOracleMemory:
+    # N x N bools are 9 MB and N x N x d floats 72 MB at this size
+    N, D = 3000, 8
+    BOUND = 3 * 2**20
+
+    def peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_scans_stay_in_bounded_blocks(self, rng):
+        F = rng.standard_normal((self.N, self.D))
+        space, design = manual_design(np.eye(self.D), F)
+        assert self.peak(lambda: pareto_front(F)) < self.BOUND
+        assert self.peak(lambda: check_improvement(design, F).passed) < self.BOUND
