@@ -55,6 +55,7 @@ from .ranks import (
     RankResult,
     cone_generating_rank,
     cone_rank,
+    cone_ranks,
     cone_subset_rank,
     cr_pointed,
     csr_pointed,

@@ -30,9 +30,9 @@ from .design import (
     design_improvement,
     design_optimality,
 )
-from .errors import InputError, ResourceCapError
+from .errors import InputError, NotPointedError, ResourceCapError
 from .linalg import Tolerances, as_matrix, numeric_rank
-from .ranks import cone_generating_rank, cone_rank, cone_subset_rank, RankResult
+from .ranks import RankKind, RankResult, cone_ranks
 from .verify import check_improvement, check_optimality, check_restriction
 
 SCHEMA_VERSION = 1
@@ -193,14 +193,9 @@ def cmd_rank(in_path: str, out_path: str, *, kind: str = "all", csv_input: bool 
     p = load_problem(in_path, csv_input, "generators", tol_overrides)
     W = _need_generators(p)
     tol = p.tolerances
-    dec = decompose(W, tol)
-    ranks: dict = {}
-    if kind in ("csr", "all"):
-        ranks["csr"] = _rank_payload(cone_subset_rank(W, tol, max_lineality_dim, dec))
-    if kind in ("cgr", "all"):
-        ranks["cgr"] = _rank_payload(cone_generating_rank(W, tol, dec))
-    if kind in ("cr", "all"):
-        ranks["cr"] = _rank_payload(cone_rank(W, tol, dec))
+    kinds = tuple(RankKind) if kind == "all" else (RankKind(kind),)
+    results = cone_ranks(W, tol, max_lineality_dim, kinds)
+    ranks = {k.value: _rank_payload(res) for k, res in results.items()}
     payload: dict = {"ranks": ranks, "m": W.m}
     if kind == "all":
         r = numeric_rank(W.generators, tol)
@@ -344,7 +339,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except InputError as exc:
+    except (InputError, NotPointedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     raise AssertionError("unreachable")

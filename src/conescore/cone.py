@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import DEFAULT_TOL, Tolerances, orthonormal_basis, project_complement
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, orthonormal_basis, project_complement
 from .lp import FeasibilityProblem, solve_feasibility
 
 __all__ = [
@@ -40,15 +40,11 @@ class GeneratorSet:
 
     @classmethod
     def from_rows(cls, rows, dim: int | None = None) -> "GeneratorSet":
-        G = np.asarray(rows, dtype=float)
+        G = as_matrix(rows, "generators")
         if G.size == 0:
             if dim is None:
                 raise InputError("empty generator set needs an explicit dimension")
             return cls(np.zeros((0, dim)), dim, (), 0)
-        if G.ndim == 1:
-            G = G.reshape(1, -1)
-        if not np.all(np.isfinite(G)):
-            raise InputError("generators must be finite")
         keep = np.max(np.abs(G), axis=1) > _ZERO_ROW_TOL
         kept = G[keep]
         return cls(

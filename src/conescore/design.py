@@ -17,14 +17,7 @@ import numpy as np
 from .cone import GeneratorSet
 from .errors import InputError
 from .linalg import AffineHull, DEFAULT_TOL, Tolerances, as_matrix, compute_affine_hull
-from .ranks import (
-    DEFAULT_MAX_LINEALITY_DIM,
-    RankKind,
-    RankResult,
-    cone_generating_rank,
-    cone_rank,
-    cone_subset_rank,
-)
+from .ranks import DEFAULT_MAX_LINEALITY_DIM, RankKind, RankResult, cone_ranks
 
 __all__ = [
     "Restriction",
@@ -157,12 +150,7 @@ def _improvement_design(
     Z, W = _hull_generators(space)
     if space.hull.dim == 0:
         return _degenerate(space, restriction, objective)
-    if kind is RankKind.CSR:
-        rank = cone_subset_rank(W, tol, max_lineality_dim)
-    elif kind is RankKind.CGR:
-        rank = cone_generating_rank(W, tol)
-    else:
-        rank = cone_rank(W, tol)
+    rank = cone_ranks(W, tol, max_lineality_dim, (kind,))[kind]
     V = rank.witness.generators
     selected = None
     if restriction is Restriction.RES_CS:
@@ -270,11 +258,12 @@ def design_both(
 _BLOCK_CELLS = 1 << 14
 
 
-def _tolerant_order(S: np.ndarray, eps: float, rows=None):
+def _tolerant_order(S: np.ndarray, eps: float, rows=None, ahead: bool = True):
     """Yield (idx, geq, ahead) for blocks of candidate rows of S.
 
     For candidate row i = idx[a] and every row j of S,
-    geq[a, j] = all(S[j] >= S[i] - eps) and ahead[a, j] = any(S[j] > S[i] + eps).
+    geq[a, j] = all(S[j] >= S[i] - eps) and ahead[a, j] = any(S[j] > S[i] + eps);
+    with ahead=False only geq is built and None takes ahead's place.
     Candidates are all rows, or the row indices in rows, in order.  The
     matrices are built one coordinate at a time, so no block allocates more
     than about _BLOCK_CELLS cells per matrix.
@@ -289,11 +278,12 @@ def _tolerant_order(S: np.ndarray, eps: float, rows=None):
         lo = R - eps
         hi = R + eps
         geq = np.ones((idx.size, n), dtype=bool)
-        ahead = np.zeros((idx.size, n), dtype=bool)
+        lead = np.zeros((idx.size, n), dtype=bool) if ahead else None
         for c in range(d):
             geq &= cols[c] >= lo[:, c, None]
-            ahead |= cols[c] > hi[:, c, None]
-        yield idx, geq, ahead
+            if ahead:
+                lead |= cols[c] > hi[:, c, None]
+        yield idx, geq, lead
 
 
 def pareto_front(points, score=None, tol: Tolerances = DEFAULT_TOL) -> list[int]:
@@ -301,14 +291,18 @@ def pareto_front(points, score=None, tol: Tolerances = DEFAULT_TOL) -> list[int]
 
     j dominates i when score(f_j) >= score(f_i) - cone_tol componentwise with
     at least one coordinate ahead by more than cone_tol.  Without a score the
-    raw metric order is used.  O(N^2 d) time in bounded-memory row blocks.
+    raw metric order is used; a score is a k x d matrix, and a vector is one
+    score row.  O(N^2 d) time in bounded-memory row blocks.
     """
-    F = np.asarray(points, dtype=float)
-    if F.ndim == 1:
-        F = F.reshape(1, -1)
+    F = as_matrix(points, "points")
     if F.shape[0] == 0:
         raise InputError("pareto_front needs at least one point")
-    S = F if score is None else F @ np.asarray(score, dtype=float).T
+    S = F
+    if score is not None:
+        A = as_matrix(score, "score")
+        if A.shape[1] != F.shape[1]:
+            raise InputError(f"score has {A.shape[1]} columns, points have dim {F.shape[1]}")
+        S = F @ A.T
     front = []
     for idx, geq, ahead in _tolerant_order(S, tol.cone_tol):
         front.extend(idx[~np.any(geq & ahead, axis=1)].tolist())

@@ -2,6 +2,7 @@
 
 The split mirrors the CLI exit-code contract: bad user input (exit 2),
 a blown resource cap (exit 3), and verification failure (exit 4).
+NotPointedError exits 2 too: input too near degenerate for the tolerances.
 """
 
 

@@ -4,12 +4,9 @@
 - cone_generating_rank: fewest vectors anywhere that regenerate K_W exactly
 - cone_rank: fewest vectors whose cone merely encloses K_W
 
-Each cone is decomposed once (callers may pass the decomposition in).
-Pointed cones are handled by single-pass extreme-ray elimination and a
-separating hyperplane + enclosing simplex; non-pointed cones add an
-(ell+1)-vector frame of the lineality space to the pointed part's witness.
-A pointed cone (ell = 0) is ranked on W itself, not on the decomposition's
-pointed_generators, which omit rows with max|w| <= cone_tol.
+All three come from one pipeline, cone_ranks: one decomposition, one
+extreme-ray elimination shared by CSR and CGR, and a separating hyperplane +
+enclosing simplex for CR.
 """
 
 from __future__ import annotations
@@ -21,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cone import ConeDecomposition, GeneratorSet, decompose, is_in_cone, is_pointed
+from .cone import GeneratorSet, decompose, is_in_cone, is_pointed
 from .errors import InputError, NotPointedError, ResourceCapError
 from .linalg import DEFAULT_TOL, Tolerances, numeric_rank, orthonormal_basis
 from .lp import SeparatingHyperplane, find_strict_separator
@@ -36,6 +33,7 @@ __all__ = [
     "cr_pointed",
     "enclosing_simplex",
     "cone_rank",
+    "cone_ranks",
 ]
 
 DEFAULT_MAX_LINEALITY_DIM = 6
@@ -72,30 +70,32 @@ class RankResult:
             )
 
 
-def csr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
-    """Subset rank of a pointed cone by single-pass elimination.
+def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
+    """Indices of the rows of a pointed W that are extreme rays of K_W.
 
     Scans the rows once, dropping each row that is a nonnegative combination
     of the rows still kept.  Dropping a redundant row leaves the cone
     unchanged, so a row found extreme stays extreme and one membership test
-    per row suffices; the survivors are the extreme rays (the count is
-    independent of scan order, the fixed order just pins the witness).
+    per row suffices (the count is independent of scan order, the fixed order
+    just pins the witness).  Pointedness is the caller's to establish.
     """
-    if not is_pointed(W, tol):
-        raise NotPointedError("requires pointed cone")
     G = W.generators
     idx = list(range(W.m))
     for i in range(W.m):
         others = [j for j in idx if j != i]
         if others and is_in_cone(G[i], GeneratorSet.from_rows(G[others], dim=W.dim), tol):
             idx.remove(i)
-    return RankResult(
-        kind=RankKind.CSR,
-        value=len(idx),
-        witness=GeneratorSet.from_rows(G[idx], dim=W.dim),
-        subset_indices=tuple(idx),
-        relation="equal",
-    )
+    return idx
+
+
+def csr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
+    """Subset rank of a pointed cone: its extreme rays, by single-pass
+    elimination.  Raises NotPointedError when K_W contains a line."""
+    if not is_pointed(W, tol):
+        raise NotPointedError("requires pointed cone")
+    idx = _extreme_rows(W, tol)
+    witness = GeneratorSet.from_rows(W.generators[idx], dim=W.dim)
+    return RankResult(RankKind.CSR, len(idx), witness, tuple(idx), "equal")
 
 
 def csr_subspace(
@@ -128,63 +128,6 @@ def csr_subspace(
     raise InputError("generators do not positively span their span")
 
 
-def cone_subset_rank(
-    W: GeneratorSet,
-    tol: Tolerances = DEFAULT_TOL,
-    max_lineality_dim: int = DEFAULT_MAX_LINEALITY_DIM,
-    dec: ConeDecomposition | None = None,
-) -> RankResult:
-    """Subset rank of an arbitrary cone: lineal part + pointed remnant."""
-    if dec is None:
-        dec = decompose(W, tol)
-    if dec.ell == 0:
-        return csr_pointed(W, tol)
-    sub = csr_subspace(dec.lineal_generators, tol, max_lineality_dim)
-    chosen = [dec.inside_rows[i] for i in sub.subset_indices]
-    pt = csr_pointed(dec.pointed_generators, tol)
-    chosen += [dec.outside_rows[i] for i in pt.subset_indices]
-    chosen.sort()
-    return RankResult(
-        kind=RankKind.CSR,
-        value=sub.value + pt.value,
-        witness=GeneratorSet.from_rows(W.generators[chosen], dim=W.dim),
-        subset_indices=tuple(chosen),
-        relation="equal",
-    )
-
-
-def _with_lineality_frame(kind: RankKind, dec: ConeDecomposition, pt: RankResult) -> RankResult:
-    """An (ell+1)-vector frame positively spanning the lineality space (the
-    basis plus its negated sum), followed by the pointed part's witness."""
-    zs = dec.lineality_basis.T
-    frame = np.vstack([-zs.sum(axis=0).reshape(1, -1), zs])
-    rows = np.vstack([frame, pt.witness.generators]) if pt.value else frame
-    return RankResult(
-        kind=kind,
-        value=(dec.ell + 1) + pt.value,
-        witness=GeneratorSet.from_rows(rows, dim=pt.witness.dim),
-        subset_indices=None,
-        relation=pt.relation,
-    )
-
-
-def cone_generating_rank(
-    W: GeneratorSet, tol: Tolerances = DEFAULT_TOL, dec: ConeDecomposition | None = None
-) -> RankResult:
-    """Fewest generators (from anywhere) regenerating K_W exactly.
-
-    Pointed cones: identical to the subset rank (extreme rays are forced).
-    Non-pointed: an (ell+1)-vector frame for the lineality space plus the
-    extreme rays of the projected pointed part.
-    """
-    if dec is None:
-        dec = decompose(W, tol)
-    if dec.ell == 0:
-        base = csr_pointed(W, tol)
-        return RankResult(RankKind.CGR, base.value, base.witness, None, "equal")
-    return _with_lineality_frame(RankKind.CGR, dec, csr_pointed(dec.pointed_generators, tol))
-
-
 def enclosing_simplex(
     U, hyperplane: SeparatingHyperplane, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
@@ -193,7 +136,7 @@ def enclosing_simplex(
     With r = dim of the hyperplane's ambient span, returns r vertices of a
     regular (r-1)-simplex with incenter at the mean of U and inradius
     max-distance * (1 + cone_tol), which contains every point of U.  No LP
-    is solved here: cr_pointed certifies the lifted witness it returns.
+    is solved here: the caller certifies the witness it lifts from them.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim == 1:
@@ -224,23 +167,21 @@ def enclosing_simplex(
     return ubar + (scale * Q) @ H.T
 
 
-def cr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
-    """Cone rank of a pointed cone: r vectors enclosing K_W.
+def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
+    """rank(W) vectors whose cone encloses a pointed K_W.
 
     Works in the r-dimensional coefficient space of span(W): strictly separate
     the unit generators from the origin, scale them onto the hyperplane,
     enclose them in a regular simplex, and lift the vertices back.  Every
     generator's membership in the lifted witness is checked by one LP.
+    Pointedness is the caller's to establish.
     """
-    if not is_pointed(W, tol):
-        raise NotPointedError("requires pointed cone")
-    if W.m == 0:
-        return RankResult(RankKind.CR, 0, W, None, "encloses")
     G = W.generators
+    if W.m == 0:
+        return G
     r = numeric_rank(G, tol)
     if r == 1:
-        witness = GeneratorSet.from_rows(G[:1], dim=W.dim)
-        return RankResult(RankKind.CR, 1, witness, None, "encloses")
+        return G[:1]
 
     norms = np.linalg.norm(G, axis=1)
     Un = G / norms[:, None]
@@ -255,15 +196,85 @@ def cr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
     for g in G:
         if not is_in_cone(g, witness, tol):  # pragma: no cover - guarantee
             raise RuntimeError("enclosing witness does not contain a generator")
-    return RankResult(RankKind.CR, r, witness, None, "encloses")
+    return witness.generators
 
 
-def cone_rank(
-    W: GeneratorSet, tol: Tolerances = DEFAULT_TOL, dec: ConeDecomposition | None = None
+def cr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
+    """Cone rank of a pointed cone: r = rank(W) vectors enclosing K_W.
+    Raises NotPointedError when K_W contains a line."""
+    if not is_pointed(W, tol):
+        raise NotPointedError("requires pointed cone")
+    rows = _enclosing_rows(W, tol)
+    witness = GeneratorSet.from_rows(rows, dim=W.dim)
+    return RankResult(RankKind.CR, len(rows), witness, None, "encloses")
+
+
+def cone_ranks(
+    W: GeneratorSet,
+    tol: Tolerances = DEFAULT_TOL,
+    max_lineality_dim: int = DEFAULT_MAX_LINEALITY_DIM,
+    kinds: tuple[RankKind, ...] = tuple(RankKind),
+) -> dict[RankKind, RankResult]:
+    """The requested ranks of K_W, from one decomposition.
+
+    The decomposition alone decides pointedness.  One extreme-ray elimination
+    of the pointed part serves both CSR (those rows mapped back to W, plus a
+    positively spanning subset of the lineal rows) and CGR (an (ell+1)-vector
+    frame of the lineality space, the basis plus its negated sum, followed by
+    those rows); CR is the frame plus an enclosing simplex of the pointed part.
+    """
+    dec = decompose(W, tol)
+    if dec.ell:
+        lineal, inside = dec.lineal_generators, dec.inside_rows
+        P, outside = dec.pointed_generators, dec.outside_rows
+        zs = dec.lineality_basis.T
+        frame = np.vstack([-zs.sum(axis=0, keepdims=True), zs])
+    else:
+        # a pointed cone is ranked on W itself: the decomposition's
+        # pointed_generators omit rows with max|w| <= cone_tol
+        lineal, inside = GeneratorSet.from_rows(W.generators[:0], dim=W.dim), ()
+        P, outside = W, range(W.m)
+        frame = W.generators[:0]
+
+    def framed(kind: RankKind, rows: np.ndarray, relation: str) -> RankResult:
+        witness = GeneratorSet.from_rows(np.vstack([frame, rows]), dim=W.dim)
+        return RankResult(kind, len(frame) + len(rows), witness, None, relation)
+
+    ranks = {}
+    if RankKind.CSR in kinds:
+        sub = csr_subspace(lineal, tol, max_lineality_dim)
+    if RankKind.CSR in kinds or RankKind.CGR in kinds:
+        extreme = _extreme_rows(P, tol)
+    if RankKind.CSR in kinds:
+        chosen = sorted([inside[i] for i in sub.subset_indices] + [outside[i] for i in extreme])
+        witness = GeneratorSet.from_rows(W.generators[chosen], dim=W.dim)
+        ranks[RankKind.CSR] = RankResult(RankKind.CSR, len(chosen), witness, tuple(chosen), "equal")
+    if RankKind.CGR in kinds:
+        ranks[RankKind.CGR] = framed(RankKind.CGR, P.generators[extreme], "equal")
+    if RankKind.CR in kinds:
+        ranks[RankKind.CR] = framed(RankKind.CR, _enclosing_rows(P, tol), "encloses")
+    return ranks
+
+
+def cone_subset_rank(
+    W: GeneratorSet,
+    tol: Tolerances = DEFAULT_TOL,
+    max_lineality_dim: int = DEFAULT_MAX_LINEALITY_DIM,
 ) -> RankResult:
+    """Subset rank of an arbitrary cone: lineal part + pointed remnant."""
+    return cone_ranks(W, tol, max_lineality_dim, (RankKind.CSR,))[RankKind.CSR]
+
+
+def cone_generating_rank(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
+    """Fewest generators (from anywhere) regenerating K_W exactly.
+
+    Pointed cones: identical to the subset rank (extreme rays are forced).
+    Non-pointed: an (ell+1)-vector frame for the lineality space plus the
+    extreme rays of the projected pointed part.
+    """
+    return cone_ranks(W, tol, kinds=(RankKind.CGR,))[RankKind.CGR]
+
+
+def cone_rank(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
     """Fewest vectors whose cone encloses K_W: r if pointed, r+1 otherwise."""
-    if dec is None:
-        dec = decompose(W, tol)
-    if dec.ell == 0:
-        return cr_pointed(W, tol)
-    return _with_lineality_frame(RankKind.CR, dec, cr_pointed(dec.pointed_generators, tol))
+    return cone_ranks(W, tol, kinds=(RankKind.CR,))[RankKind.CR]

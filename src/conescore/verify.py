@@ -62,7 +62,7 @@ def check_improvement(
     n = F.shape[0]
     violations = []
     # S and F have the same rows, so the two scans yield the same blocks
-    blocks = zip(_tolerant_order(S, eps), _tolerant_order(F, eps))
+    blocks = zip(_tolerant_order(S, eps, ahead=False), _tolerant_order(F, eps, ahead=False))
     for (idx, score_geq, _), (_, metric_geq, _) in blocks:
         bad = score_geq & ~metric_geq  # A f_j >= A f_i but not f_j >= f_i
         bad[np.arange(idx.size), idx] = False

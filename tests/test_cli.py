@@ -66,6 +66,35 @@ class TestRank:
         assert code == 0
         assert len(calls) == 1
 
+    def test_all_kinds_trust_the_decomposition(self, tmp_path, monkeypatch):
+        # decompose decides pointedness; no rank step proves it again
+        import conescore.cone
+        import conescore.ranks
+
+        calls = []
+        real = conescore.cone.is_pointed
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conescore.cone, "is_pointed", counting)
+        monkeypatch.setattr(conescore.ranks, "is_pointed", counting)
+        code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"),
+                        "--kind", "all")
+        assert code == 0
+        assert res["chain_ok"] is True
+        assert calls == []
+
+    def test_line_missed_by_decomposition_exits_2(self, tmp_path, capsys):
+        # decompose treats the +-1e-9 rows as zero, the separator does not
+        code, res = run(tmp_path, "rank", {"generators": [[0, 1], [1e-9, 0], [-1e-9, 0]]},
+                        "--kind", "all")
+        assert code == 2
+        assert res is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_square_cone_all(self, tmp_path):
         code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"))
         assert code == 0

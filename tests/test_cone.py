@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conescore import (
     GeneratorSet,
+    InputError,
     decompose,
     is_in_cone,
     is_pointed,
@@ -27,6 +28,12 @@ class TestGeneratorSet:
     def test_empty_needs_dim(self):
         W = GeneratorSet.from_rows(np.zeros((0, 3)), dim=3)
         assert W.m == 0 and W.dim == 3
+
+    def test_rejects_non_matrix_input(self):
+        with pytest.raises(InputError, match="expected a 2-D matrix"):
+            GeneratorSet.from_rows(np.ones((2, 2, 3)))
+        with pytest.raises(InputError, match="finite"):
+            GeneratorSet.from_rows([[1.0, np.nan]])
 
 
 class TestMembership:

@@ -3,6 +3,7 @@ import pytest
 
 from conescore import (
     GeneratorSet,
+    InputError,
     MetricSpace,
     Objective,
     Restriction,
@@ -146,6 +147,20 @@ class TestParetoFront:
         selected = pts[front]
         assert np.all(selected[:, 0] == 1.0)
         assert [1.0, -1.0] in selected.tolist()
+
+    def test_vector_score_is_one_row(self, rng):
+        pts = np.round(rng.standard_normal((40, 3)), 1)
+        score = [1.0, 0.0, -0.5]
+        assert pareto_front(pts, score) == pareto_front(pts, np.array([score]))
+        assert pareto_front(np.eye(3), score=[1.0, 0.0, 0.0]) == [0]
+
+    def test_rejects_malformed_input(self):
+        with pytest.raises(InputError, match="score has 2 columns"):
+            pareto_front(np.eye(3), score=[[1.0, 0.0]])
+        with pytest.raises(InputError, match="points: expected a 2-D matrix"):
+            pareto_front(np.ones((2, 2, 2)))
+        with pytest.raises(InputError, match="points: entries must be finite"):
+            pareto_front([[np.nan, 0.0], [1.0, 1.0]])
 
     def test_1hot_rows_are_1hot(self):
         space = space_from("square_cone_samples.json")

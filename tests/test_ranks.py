@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from conescore import (
     check_cone_subset,
     cone_generating_rank,
     cone_rank,
+    cone_ranks,
     cone_subset_rank,
     cr_pointed,
     csr_pointed,
     csr_subspace,
+    decompose,
     enclosing_simplex,
     find_strict_separator,
     is_in_cone,
@@ -277,3 +281,70 @@ def test_rank_kinds_tagged():
     assert cone_subset_rank(W).kind is RankKind.CSR
     assert cone_generating_rank(W).kind is RankKind.CGR
     assert cone_rank(W).kind is RankKind.CR
+
+
+class TestConeRanks:
+    def test_one_elimination_for_csr_and_cgr(self, rng, monkeypatch):
+        import conescore.ranks
+
+        G = random_pointed_rows(rng, 6, 3)
+        G = np.vstack([G, rng.random(6) @ G, 2.0 * G[3]])
+        calls = []
+        real = conescore.ranks.is_in_cone
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conescore.ranks, "is_in_cone", counting)
+        W = GeneratorSet.from_rows(G)
+        ranks = cone_ranks(W, TOL, kinds=(RankKind.CSR, RankKind.CGR))
+        assert len(calls) <= W.m
+        assert ranks[RankKind.CSR].value == ranks[RankKind.CGR].value <= W.m - 2
+
+    def test_cgr_reuses_the_csr_extreme_rows(self):
+        W = fixture_generators("nonpointed_5d_generators.json")
+        dec = decompose(W)
+        ranks = cone_ranks(W)
+        csr, cgr = ranks[RankKind.CSR], ranks[RankKind.CGR]
+        pointed = [p for p, i in enumerate(dec.outside_rows) if i in csr.subset_indices]
+        assert pointed
+        np.testing.assert_array_equal(
+            cgr.witness.generators[dec.ell + 1:], dec.pointed_generators.generators[pointed]
+        )
+
+
+SINGLE_KIND = {
+    RankKind.CSR: cone_subset_rank,
+    RankKind.CGR: cone_generating_rank,
+    RankKind.CR: cone_rank,
+}
+KIND_SUBSETS = [
+    kinds for size in range(1, 4) for kinds in itertools.combinations(tuple(RankKind), size)
+]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ray_2d.json",
+        "wedge_2d.json",
+        "line_2d.json",
+        "halfspace_2d.json",
+        "plane_2d.json",
+        "square_cone_generators.json",
+        "nonpointed_5d_generators.json",
+        "triangular_witness.json",
+    ],
+)
+def test_cone_ranks_match_single_kinds(name):
+    W = fixture_generators(name)
+    single = {kind: rank(W) for kind, rank in SINGLE_KIND.items()}
+    for kinds in KIND_SUBSETS:
+        ranks = cone_ranks(W, kinds=kinds)
+        assert tuple(ranks) == kinds
+        for kind, res in ranks.items():
+            ref = single[kind]
+            assert (res.kind, res.value, res.subset_indices, res.relation) == (
+                ref.kind, ref.value, ref.subset_indices, ref.relation)
+            np.testing.assert_array_equal(res.witness.generators, ref.witness.generators)
