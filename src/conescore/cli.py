@@ -30,17 +30,12 @@ from .design import (
     design_improvement,
     design_optimality,
 )
-from .errors import InputError, NotPointedError, ResourceCapError
+from .errors import ConescoreError, InputError, VerificationError
 from .linalg import Tolerances, as_matrix, numeric_rank
 from .ranks import RankKind, RankResult, cone_ranks
 from .verify import check_improvement, check_optimality, check_restriction
 
 SCHEMA_VERSION = 1
-
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_CAP = 3
-EXIT_VERIFY = 4
 
 
 @dataclass
@@ -52,7 +47,21 @@ class ProblemFile:
     tolerances: Tolerances
     assert_relint_nonempty: bool
     design_A: np.ndarray | None
-    raw: dict
+
+
+def _choice(doc: dict, key: str, enum):
+    value = doc.get(key)
+    if value is None:
+        return None
+    try:
+        return enum(value)
+    except ValueError:
+        raise InputError(f"unknown {key} {value!r}") from None
+
+
+def _matrix(doc: dict, key: str, name: str):
+    value = doc.get(key)
+    return None if value is None else as_matrix(value, name)
 
 
 def load_problem(path: str, as_csv: bool = False, csv_role: str = "metrics_samples",
@@ -72,46 +81,25 @@ def load_problem(path: str, as_csv: bool = False, csv_role: str = "metrics_sampl
     if not isinstance(doc, dict):
         raise InputError("problem file must be a JSON object")
 
-    tol_kwargs = dict(doc.get("tolerances") or {})
-    tol_kwargs.update({k: v for k, v in (tol_overrides or {}).items() if v is not None})
+    file_tol = doc.get("tolerances") or {}
+    if not isinstance(file_tol, dict):
+        raise InputError(f"bad tolerances: expected a JSON object, got {file_tol!r}")
+    overrides = {k: v for k, v in (tol_overrides or {}).items() if v is not None}
     try:
-        tol = Tolerances(**tol_kwargs)
+        tol = Tolerances(**{**file_tol, **overrides})
     except TypeError as exc:
         raise InputError(f"bad tolerances: {exc}") from None
 
-    restriction = objective = None
-    if doc.get("restriction") is not None:
-        try:
-            restriction = Restriction(doc["restriction"])
-        except ValueError:
-            raise InputError(f"unknown restriction {doc['restriction']!r}") from None
-    if doc.get("objective") is not None:
-        try:
-            objective = Objective(doc["objective"])
-        except ValueError:
-            raise InputError(f"unknown objective {doc['objective']!r}") from None
-
-    design_A = None
-    if isinstance(doc.get("design"), dict) and doc["design"].get("A") is not None:
-        design_A = as_matrix(doc["design"]["A"], "design.A")
-
+    design = doc["design"] if isinstance(doc.get("design"), dict) else {}
+    # keyword arguments are evaluated in order, so this is the order of the checks
     return ProblemFile(
-        metrics_samples=(
-            as_matrix(doc["metrics_samples"], "metrics_samples")
-            if doc.get("metrics_samples") is not None
-            else None
-        ),
-        generators=(
-            as_matrix(doc["generators"], "generators")
-            if doc.get("generators") is not None
-            else None
-        ),
-        restriction=restriction,
-        objective=objective,
         tolerances=tol,
+        restriction=_choice(doc, "restriction", Restriction),
+        objective=_choice(doc, "objective", Objective),
+        design_A=_matrix(design, "A", "design.A"),
+        metrics_samples=_matrix(doc, "metrics_samples", "metrics_samples"),
+        generators=_matrix(doc, "generators", "generators"),
         assert_relint_nonempty=bool(doc.get("assert_relint_nonempty", False)),
-        design_A=design_A,
-        raw=doc,
     )
 
 
@@ -137,6 +125,10 @@ def _report_payload(rep) -> dict:
     }
 
 
+def _verdict(reports) -> int:
+    return 0 if all(r.passed for r in reports) else VerificationError.exit_code
+
+
 def _write_result(out_path: str, command: str, payload: dict, tol: Tolerances,
                   warnings: list[str], reproducible: bool) -> None:
     doc = {
@@ -154,26 +146,27 @@ def _write_result(out_path: str, command: str, payload: dict, tol: Tolerances,
     if not reproducible:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     doc.update(payload)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc}") from None
 
 
-def _need_generators(p: ProblemFile) -> GeneratorSet:
+def _generators(p: ProblemFile) -> tuple[GeneratorSet, list[str]]:
+    """The problem's generator set and the warning for the zero rows it drops."""
     if p.generators is None:
         raise InputError("problem file must provide generators")
-    return GeneratorSet.from_rows(p.generators)
+    W = GeneratorSet.from_rows(p.generators)
+    dropped = W.dropped_zero_rows
+    return W, [f"dropped {dropped} zero generator row(s)"] if dropped else []
 
 
-def cmd_decompose(in_path: str, out_path: str, *, csv_input: bool = False,
-                  tol_overrides: dict | None = None, reproducible: bool = False) -> int:
-    p = load_problem(in_path, csv_input, "generators", tol_overrides)
-    W = _need_generators(p)
+def _decompose(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    W, warnings = _generators(p)
     dec = decompose(W, p.tolerances)
-    warnings = []
-    if W.dropped_zero_rows:
-        warnings.append(f"dropped {W.dropped_zero_rows} zero generator row(s)")
-    _write_result(out_path, "decompose", {
+    return {
         "decomposition": {
             "ell": dec.ell,
             "lineality_basis_columns": _mat(dec.lineality_basis.T) if dec.ell else [],
@@ -183,52 +176,40 @@ def cmd_decompose(in_path: str, out_path: str, *, csv_input: bool = False,
             if dec.pointed_generators.m else [],
             "pointed_count": dec.pointed_generators.m,
         },
-    }, p.tolerances, warnings, reproducible)
-    return EXIT_OK
+    }, warnings, 0
 
 
-def cmd_rank(in_path: str, out_path: str, *, kind: str = "all", csv_input: bool = False,
-             tol_overrides: dict | None = None, reproducible: bool = False,
-             max_lineality_dim: int = 6) -> int:
-    p = load_problem(in_path, csv_input, "generators", tol_overrides)
-    W = _need_generators(p)
+def _rank(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], int]:
+    W, warnings = _generators(p)
     tol = p.tolerances
-    kinds = tuple(RankKind) if kind == "all" else (RankKind(kind),)
-    results = cone_ranks(W, tol, max_lineality_dim, kinds)
+    kinds = tuple(RankKind) if args.kind == "all" else (RankKind(args.kind),)
+    results = cone_ranks(W, tol, args.max_lineality_dim, kinds)
     ranks = {k.value: _rank_payload(res) for k, res in results.items()}
     payload: dict = {"ranks": ranks, "m": W.m}
-    if kind == "all":
+    if args.kind == "all":
         r = numeric_rank(W.generators, tol)
         chain = (
             W.m >= ranks["csr"]["value"] >= ranks["cgr"]["value"] >= ranks["cr"]["value"] >= r
         )
         payload["numeric_rank"] = r
         payload["chain_ok"] = bool(chain)
-    warnings = []
-    if W.dropped_zero_rows:
-        warnings.append(f"dropped {W.dropped_zero_rows} zero generator row(s)")
-    _write_result(out_path, "rank", payload, tol, warnings, reproducible)
-    return EXIT_OK
+    return payload, warnings, 0
 
 
-def cmd_design(in_path: str, out_path: str, *, objective: str | None = None,
-               restriction: str | None = None, csv_input: bool = False,
-               tol_overrides: dict | None = None, reproducible: bool = False,
-               max_lineality_dim: int = 6) -> int:
-    p = load_problem(in_path, csv_input, "metrics_samples", tol_overrides)
+def _design(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if p.metrics_samples is None:
         raise InputError("problem file must provide metrics_samples")
-    obj = Objective(objective) if objective else (p.objective or Objective.IMPROVEMENT)
-    res = Restriction(restriction) if restriction else (p.restriction or Restriction.RES_L)
+    obj = Objective(args.objective or p.objective or Objective.IMPROVEMENT)
+    res = Restriction(args.restriction or p.restriction or Restriction.RES_L)
     tol = p.tolerances
     space = MetricSpace.from_samples(p.metrics_samples, p.assert_relint_nonempty, tol)
 
     if obj is Objective.IMPROVEMENT:
-        design = design_improvement(space, res, tol, max_lineality_dim)
+        design = design_improvement(space, res, tol, args.max_lineality_dim)
     elif obj is Objective.OPTIMALITY:
         design = design_optimality(space, res, tol)
     else:
-        design = design_both(space, res, tol, max_lineality_dim)
+        design = design_both(space, res, tol, args.max_lineality_dim)
 
     reports = []
     if obj in (Objective.IMPROVEMENT, Objective.BOTH):
@@ -237,7 +218,7 @@ def cmd_design(in_path: str, out_path: str, *, objective: str | None = None,
         reports.append(check_optimality(design, space.samples, tol))
     reports.append(check_restriction(design, space.hull, tol))
 
-    _write_result(out_path, "design", {
+    return {
         "design": {
             "k": design.k,
             "A": _mat(design.A) if design.k else [],
@@ -247,13 +228,10 @@ def cmd_design(in_path: str, out_path: str, *, objective: str | None = None,
             "minimality_certified": design.minimality_certified,
         },
         "verification": [_report_payload(r) for r in reports],
-    }, tol, list(design.warnings), reproducible)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
+    }, list(design.warnings), _verdict(reports)
 
 
-def cmd_verify(in_path: str, out_path: str, *, tol_overrides: dict | None = None,
-               reproducible: bool = False) -> int:
-    p = load_problem(in_path, False, "metrics_samples", tol_overrides)
+def _verify(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], int]:
     if p.metrics_samples is None or p.design_A is None:
         raise InputError("verify needs metrics_samples and a design block with A")
     tol = p.tolerances
@@ -282,16 +260,24 @@ def cmd_verify(in_path: str, out_path: str, *, tol_overrides: dict | None = None
         reports.append(rep)
         declared.append(rep)
 
-    _write_result(out_path, "verify", {
+    return {
         "verification": [_report_payload(r) for r in reports],
         "declared_passed": all(r.passed for r in declared),
-    }, tol, [], reproducible)
-    return EXIT_OK if all(r.passed for r in declared) else EXIT_VERIFY
+    }, [], _verdict(declared)
+
+
+# command -> (runner, role of the rows of a --csv input; None: JSON only)
+_COMMANDS = {
+    "decompose": (_decompose, "generators"),
+    "rank": (_rank, "generators"),
+    "design": (_design, "metrics_samples"),
+    "verify": (_verify, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="conescore", description=__doc__)
-    ap.add_argument("command", choices=["decompose", "rank", "design", "verify"])
+    ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--in", dest="in_path", required=True, metavar="FILE")
     ap.add_argument("--out", dest="out_path", required=True, metavar="FILE")
     ap.add_argument("--kind", choices=["csr", "cgr", "cr", "all"], default="all")
@@ -308,41 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Load, run and write one command; a ConescoreError becomes one
+    ``error:`` line on stderr and the exit code its class carries."""
     args = build_parser().parse_args(argv)
-    tol_overrides = {
-        "rank_tol": args.rank_tol,
-        "feas_tol": args.feas_tol,
-        "cone_tol": args.cone_tol,
-    }
+    run, csv_role = _COMMANDS[args.command]
+    tol_overrides = {name: getattr(args, name) for name in ("rank_tol", "feas_tol", "cone_tol")}
     try:
-        if args.command == "decompose":
-            return cmd_decompose(args.in_path, args.out_path, csv_input=args.csv,
-                                 tol_overrides=tol_overrides,
-                                 reproducible=args.reproducible)
-        if args.command == "rank":
-            return cmd_rank(args.in_path, args.out_path, kind=args.kind,
-                            csv_input=args.csv, tol_overrides=tol_overrides,
-                            reproducible=args.reproducible,
-                            max_lineality_dim=args.max_lineality_dim)
-        if args.command == "design":
-            return cmd_design(args.in_path, args.out_path, objective=args.objective,
-                              restriction=args.restriction, csv_input=args.csv,
-                              tol_overrides=tol_overrides,
-                              reproducible=args.reproducible,
-                              max_lineality_dim=args.max_lineality_dim)
-        if args.command == "verify":
-            if args.csv:
-                raise InputError("verify needs a JSON problem file (design block)")
-            return cmd_verify(args.in_path, args.out_path,
-                              tol_overrides=tol_overrides,
-                              reproducible=args.reproducible)
-    except ResourceCapError as exc:
+        if args.csv and csv_role is None:
+            raise InputError("verify needs a JSON problem file (design block)")
+        p = load_problem(args.in_path, args.csv, csv_role, tol_overrides)
+        payload, warnings, code = run(p, args)
+        _write_result(args.out_path, args.command, payload, p.tolerances, warnings,
+                      args.reproducible)
+    except ConescoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (InputError, NotPointedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    raise AssertionError("unreachable")
+        return exc.exit_code
+    return code
 
 
 if __name__ == "__main__":

@@ -83,30 +83,40 @@ def is_in_cone(x, W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != W.dim:
         raise InputError(f"point has dim {x.shape[0]}, cone has dim {W.dim}")
-    slack = tol.cone_tol * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
     if W.m == 0:
-        return bool(np.max(np.abs(x), initial=0.0) <= slack)
-    eff = Tolerances(tol.rank_tol, max(tol.feas_tol, slack), tol.cone_tol)
+        return bool(np.max(np.abs(x), initial=0.0) <= tol.cone_tol * scale)
+    # the phase-1 residual is linear in the target: deciding x / scale at
+    # max(feas_tol / scale, cone_tol) is deciding x at
+    # max(feas_tol, cone_tol * scale), with the LP's tolerance kept inside
+    # (0, 1) however large x is
+    eff = Tolerances(tol.rank_tol, max(tol.feas_tol / scale, tol.cone_tol), tol.cone_tol)
     res = solve_feasibility(
-        FeasibilityProblem(M=W.generators, target=x, require_nonneg=True), eff
+        FeasibilityProblem(M=W.generators, target=x / scale, require_nonneg=True), eff
     )
     return res.feasible
 
 
-def is_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff K_W contains no line: no convex combination of generators is 0."""
-    if W.m == 0:
-        return True
+def _zero_combination(G: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """Support of a convex combination of the rows of G that is zero, or None
+    when there is none.  Rows with max|w| <= cone_tol count as zero and take
+    no part, so K is pointed exactly when this returns None."""
+    active = np.nonzero(np.max(np.abs(G), axis=1, initial=0.0) > tol.cone_tol)[0]
+    if active.size == 0:
+        return None
     res = solve_feasibility(
         FeasibilityProblem(
-            M=W.generators,
-            target=np.zeros(W.dim),
-            require_nonneg=True,
-            sum_to_one=True,
+            M=G[active], target=np.zeros(G.shape[1]), require_nonneg=True, sum_to_one=True
         ),
         tol,
     )
-    return not res.feasible
+    return active[res.witness > tol.feas_tol] if res.feasible else None
+
+
+def is_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff K_W contains no line: no convex combination of generators is 0
+    (generators with max|w| <= cone_tol count as zero, as in ``decompose``)."""
+    return _zero_combination(W.generators, tol) is None
 
 
 def decompose(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> ConeDecomposition:
@@ -120,19 +130,7 @@ def decompose(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> ConeDecompositi
     d = W.dim
     Z = np.zeros((d, 0))
     P = G.copy()
-    while True:
-        active = np.nonzero(np.max(np.abs(P), axis=1, initial=0.0) > tol.cone_tol)[0]
-        if active.size == 0:
-            break
-        res = solve_feasibility(
-            FeasibilityProblem(
-                M=P[active], target=np.zeros(d), require_nonneg=True, sum_to_one=True
-            ),
-            tol,
-        )
-        if not res.feasible:
-            break
-        support = active[res.witness > tol.feas_tol]
+    while (support := _zero_combination(P, tol)) is not None:
         # supported projected rows lie in the lineality of the projected cone;
         # they are orthogonal to Z already, so the basis strictly grows
         Z = orthonormal_basis(np.vstack([Z.T, P[support]]), tol)

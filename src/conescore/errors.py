@@ -1,13 +1,17 @@
 """Exception taxonomy shared across the package.
 
-The split mirrors the CLI exit-code contract: bad user input (exit 2),
-a blown resource cap (exit 3), and verification failure (exit 4).
-NotPointedError exits 2 too: input too near degenerate for the tolerances.
+Each class carries the CLI exit code it maps to (``exit_code``), so the
+exit-code contract lives here: bad user input (2), a blown resource cap such
+as an enumeration limit or the simplex iteration cap (3), and verification
+failure (4).  NotPointedError exits 2 too: input too near degenerate for the
+tolerances.  The CLI prints any of them as one ``error:`` line on stderr.
 """
 
 
 class ConescoreError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class InputError(ConescoreError):
@@ -15,7 +19,9 @@ class InputError(ConescoreError):
 
 
 class ResourceCapError(ConescoreError):
-    """A configured enumeration cap was exceeded."""
+    """A configured enumeration cap or the simplex iteration cap was exceeded."""
+
+    exit_code = 3
 
 
 class NotPointedError(ConescoreError):
@@ -24,3 +30,5 @@ class NotPointedError(ConescoreError):
 
 class VerificationError(ConescoreError):
     """A design failed its own verification oracle."""
+
+    exit_code = 4

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotPointedError
+from .errors import InputError, NotPointedError, ResourceCapError
 from .linalg import DEFAULT_TOL, Tolerances, orthonormal_basis
 
 if os.environ.get("CONESCORE_PURE"):
@@ -81,6 +81,7 @@ def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 
     Returns (feasible, x).  Feasible iff the artificial objective reaches
     feas_tol; x is the basic solution (meaningful only when feasible).
+    Raises ResourceCapError when the pivot loop hits its iteration cap.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float).copy()
@@ -104,9 +105,9 @@ def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     basis = (q + np.arange(p)).astype(np.int64)
 
     max_iter = 50 * (p + q) + 1000
-    status = pivot_loop(T, basis, _PIVOT_EPS, max_iter)
-    if status != 0:  # pragma: no cover - Bland's rule precludes cycling
-        raise RuntimeError(f"simplex did not terminate (status {status})")
+    # Bland's rule cannot cycle in exact arithmetic, but rounding can make it
+    if pivot_loop(T, basis, _PIVOT_EPS, max_iter) != 0:
+        raise ResourceCapError(f"simplex did not terminate within {max_iter} pivots")
 
     feasible = bool(-T[p, -1] <= tol.feas_tol)
     x = np.zeros(q)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .cone import GeneratorSet, is_in_cone
 from .design import Restriction, ScoreDesign, _tolerant_order, pareto_front
-from .linalg import AffineHull, DEFAULT_TOL, Tolerances
+from .errors import InputError
+from .linalg import AffineHull, DEFAULT_TOL, Tolerances, as_matrix
 
 __all__ = [
     "VerificationReport",
@@ -43,6 +44,16 @@ class VerificationReport:
             )
 
 
+def _samples(design: ScoreDesign, samples) -> np.ndarray:
+    """The samples as a finite matrix with one column per column of A."""
+    F = as_matrix(samples, "samples")
+    if F.shape[1] != design.A.shape[1]:
+        raise InputError(
+            f"samples have {F.shape[1]} columns, design A has {design.A.shape[1]}"
+        )
+    return F
+
+
 def _lead(cols: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """max(f_i - f_j) over the coordinates, for each index pair (i, j)."""
     lead = cols[0][i] - cols[0][j]
@@ -55,7 +66,7 @@ def check_improvement(
     design: ScoreDesign, samples, tol: Tolerances = DEFAULT_TOL
 ) -> VerificationReport:
     """Score order must imply metric order on every ordered sample pair."""
-    F = np.asarray(samples, dtype=float)
+    F = _samples(design, samples)
     S = F @ design.A.T
     cols = np.ascontiguousarray(F.T)
     eps = tol.cone_tol
@@ -87,7 +98,7 @@ def check_optimality(
     A score-front point fails when some sample dominates it raw; its value is
     the largest lead max(f_j - f_i) over its dominators j.
     """
-    F = np.asarray(samples, dtype=float)
+    F = _samples(design, samples)
     front_s = pareto_front(F, design.A, tol)
     cols = np.ascontiguousarray(F.T)
     violations = []

@@ -239,3 +239,65 @@ class TestErrorsAndDeterminism:
                         "--tol-cone", "1e-7")
         assert code == 0
         assert res["tolerances"]["cone_tol"] == 1e-7
+
+
+COMMANDS = ("decompose", "rank", "design", "verify")
+VALID = {
+    "generators": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    "metrics_samples": [[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]],
+    "design": {"A": [[1.0, 0.0], [0.0, 1.0]]},
+}
+BIG = 1e8 * np.array(VALID["generators"])
+
+
+def _with_matrix(command, value):
+    """VALID with the matrix that ``command`` reads replaced by ``value``."""
+    key = "generators" if command in ("decompose", "rank") else "metrics_samples"
+    return {**VALID, key: value}
+
+
+# name -> (problem document for a command, documented exit code)
+MALFORMED = {
+    "tolerances-string": (lambda c: {**VALID, "tolerances": "abc"}, 2),
+    "tolerances-list": (lambda c: {**VALID, "tolerances": [1, 2]}, 2),
+    "unwritable-out": (lambda c: VALID, 2),
+    "restriction-list": (lambda c: {**VALID, "restriction": ["res-l"]}, 2),
+    "ragged-matrix": (lambda c: _with_matrix(c, [[1.0, 2.0], [3.0]]), 2),
+    "nan-matrix": (lambda c: _with_matrix(c, [[float("nan"), 1.0], [0.0, 1.0]]), 2),
+    "3d-matrix": (lambda c: _with_matrix(c, [[[1.0]], [[2.0]]]), 2),
+    "missing-keys": (lambda c: {}, 2),
+    "cone-at-1e8": (lambda c: {**VALID, "generators": BIG.tolist(),
+                               "metrics_samples": BIG.tolist()}, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+@pytest.mark.parametrize("command", COMMANDS)
+def test_exit_code_contract(tmp_path, capsys, command, case):
+    make_doc, expected = MALFORMED[case]
+    in_path = tmp_path / "problem.json"
+    in_path.write_text(json.dumps(make_doc(command)))
+    out_dir = tmp_path / ("missing-dir" if case == "unwritable-out" else "")
+    code = main([command, "--in", str(in_path), "--out", str(out_dir / "result.json"),
+                 "--reproducible"])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert lines == []
+
+
+def test_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):
+    import conescore.lp
+
+    monkeypatch.setattr(conescore.lp, "pivot_loop", lambda T, basis, eps, max_iter: 1)
+    code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert res is None
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: simplex did not terminate")

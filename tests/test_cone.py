@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from conescore import (
     GeneratorSet,
     InputError,
+    cr_pointed,
+    csr_pointed,
     decompose,
     is_in_cone,
     is_pointed,
@@ -15,7 +17,7 @@ from conescore import (
     partition_by_lineality,
     project_complement,
 )
-from conftest import TOL, fixture_generators, random_cone_rows
+from conftest import TOL, fixture_generators, random_cone_rows, random_rotation
 
 
 class TestGeneratorSet:
@@ -61,6 +63,16 @@ class TestMembership:
             assert is_in_cone(x, W) == inside
 
 
+    @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
+    def test_large_points_keep_the_lp_tolerance_in_range(self, scale):
+        # the slack cone_tol * (1 + max|x|) exceeds 1 from max|x| ~ 1e8 on
+        W = GeneratorSet.from_rows(scale * np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        assert is_in_cone(scale * np.array([1.0, 1.0]), W)
+        assert is_in_cone(scale * np.array([3.0, 0.5]), W)
+        assert not is_in_cone(scale * np.array([-1.0, 1.0]), W)
+        assert not is_in_cone(scale * np.array([1.0, -1e-3]), W)
+
+
 class TestPointedness:
     def test_ray(self):
         assert is_pointed(fixture_generators("ray_2d.json"))
@@ -80,6 +92,21 @@ class TestPointedness:
         W = GeneratorSet.from_rows(G)
         has_mirrored = any(is_in_cone(-w, W) for w in W.generators)
         assert is_pointed(W) == (not has_mirrored)
+
+
+    def test_agrees_with_decompose_on_negligible_rows(self):
+        # a row 1e-10 times a generator is zero to decompose (max|w| <= cone_tol);
+        # is_pointed and the pointed-only ranks must see the cone the same way
+        g = np.random.default_rng(1)
+        for _ in range(40):
+            d = int(g.integers(2, 5))
+            G = (np.abs(g.standard_normal((int(g.integers(d, d + 5)), d))) + 0.05) @ \
+                random_rotation(g, d).T
+            W = GeneratorSet.from_rows(np.vstack([G, 1e-10 * G[int(g.integers(len(G)))]]))
+            assert decompose(W).ell == 0
+            assert is_pointed(W)
+            csr_pointed(W)
+            cr_pointed(W)
 
 
 class TestDecompose:

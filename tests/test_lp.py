@@ -5,6 +5,7 @@ from conescore import (
     FeasibilityProblem,
     GeneratorSet,
     NotPointedError,
+    ResourceCapError,
     find_strict_separator,
     kernel_name,
     solve_feasibility,
@@ -71,6 +72,15 @@ class TestSolveFeasibility:
         r2 = solve_feasibility(FeasibilityProblem(M=M, target=c))
         assert r1.feasible and r2.feasible
         assert np.array_equal(r1.witness, r2.witness)
+
+
+    def test_iteration_cap_is_a_resource_cap(self, monkeypatch):
+        import conescore.lp
+
+        monkeypatch.setattr(conescore.lp, "pivot_loop", lambda T, basis, eps, max_iter: 1)
+        prob = FeasibilityProblem(M=np.eye(2), target=np.ones(2))
+        with pytest.raises(ResourceCapError, match="simplex did not terminate"):
+            solve_feasibility(prob)
 
 
 class TestStrictSeparator:

@@ -10,6 +10,7 @@ import pytest
 import conescore
 from conescore import (
     GeneratorSet,
+    InputError,
     MetricSpace,
     Objective,
     Restriction,
@@ -78,6 +79,20 @@ class TestCheckOptimality:
         pts = l1_ball_samples(rng, 2, 60)
         space, design = manual_design([[1.0, 0.0]], pts)
         assert check_optimality(design, pts).passed
+
+
+@pytest.mark.parametrize("oracle", [check_improvement, check_optimality])
+@pytest.mark.parametrize("samples, match", [
+    ([[0.0, 0.0], [np.nan, 1.0]], "finite"),
+    ([[0.0, 0.0], [1.0]], "not a numeric matrix"),
+    ([0.0, 1.0, 2.0], "3 columns"),
+    ([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]], "3 columns"),
+    (np.zeros((2, 2, 2)), "2-D"),
+])
+def test_oracles_reject_malformed_samples(oracle, samples, match):
+    _, design = manual_design(np.eye(2), [[0.0, 0.0], [1.0, 2.0]])
+    with pytest.raises(InputError, match=match):
+        oracle(design, samples)
 
 
 class TestCheckRestriction:
