@@ -241,21 +241,23 @@ def _verify(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], 
         raise InputError(
             f"design A has {A.shape[1]} columns, samples have dim {space.dim}"
         )
-    declared_res = p.restriction or Restriction.RES_L
+    # CLI flags win over the file, as for design
+    obj = Objective(args.objective or p.objective or Objective.BOTH)
+    declared_res = args.restriction or p.restriction
     design = ScoreDesign(
-        A=A, k=A.shape[0], restriction=declared_res,
-        objective=p.objective or Objective.BOTH, V=A @ space.hull.basis,
+        A=A, k=A.shape[0], restriction=Restriction(declared_res or Restriction.RES_L),
+        objective=obj, V=A @ space.hull.basis,
         rank_used=None, minimality_certified=False,
     )
     imp = check_improvement(design, space.samples, tol)
     opt = check_optimality(design, space.samples, tol)
     reports = [imp, opt]
     declared = [imp, opt]
-    if p.objective is Objective.IMPROVEMENT:
+    if obj is Objective.IMPROVEMENT:
         declared = [imp]
-    elif p.objective is Objective.OPTIMALITY:
+    elif obj is Objective.OPTIMALITY:
         declared = [opt]
-    if p.restriction is not None:
+    if declared_res is not None:
         rep = check_restriction(design, space.hull, tol)
         reports.append(rep)
         declared.append(rep)

@@ -50,7 +50,7 @@ class GeneratorSet:
         return cls(
             np.ascontiguousarray(kept),
             G.shape[1],
-            tuple(int(i) for i in np.nonzero(keep)[0]),
+            tuple(np.nonzero(keep)[0].tolist()),
             int(np.sum(~keep)),
         )
 
@@ -162,8 +162,8 @@ def partition_by_lineality(
         inside_mask = np.zeros(0, dtype=bool)
     else:
         inside_mask = np.max(np.abs(resid), axis=1, initial=0.0) <= tol.cone_tol
-    inside = tuple(int(i) for i in np.nonzero(inside_mask)[0])
-    outside = tuple(int(i) for i in np.nonzero(~inside_mask)[0])
+    inside = tuple(np.nonzero(inside_mask)[0].tolist())
+    outside = tuple(np.nonzero(~inside_mask)[0].tolist())
     W_L = GeneratorSet.from_rows(G[list(inside)], dim=W.dim)
     W_rest = GeneratorSet.from_rows(G[list(outside)], dim=W.dim)
     return W_L, W_rest, inside, outside

@@ -29,6 +29,6 @@ class NotPointedError(ConescoreError):
 
 
 class VerificationError(ConescoreError):
-    """A design failed its own verification oracle."""
+    """A design or a rank witness failed its own verification check."""
 
     exit_code = 4

@@ -6,7 +6,8 @@
 
 All three come from one pipeline, cone_ranks: one decomposition, one
 extreme-ray elimination shared by CSR and CGR, and a separating hyperplane +
-enclosing simplex for CR.
+enclosing simplex for CR.  The simplex witness is simplicial, so one linear
+solve, not one LP per generator, certifies that it encloses K_W.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .cone import GeneratorSet, decompose, is_in_cone, is_pointed
-from .errors import InputError, NotPointedError, ResourceCapError
+from .errors import InputError, NotPointedError, ResourceCapError, VerificationError
 from .linalg import DEFAULT_TOL, Tolerances, numeric_rank, orthonormal_basis
 from .lp import SeparatingHyperplane, find_strict_separator
 
@@ -167,17 +168,37 @@ def enclosing_simplex(
     return ubar + (scale * Q) @ H.T
 
 
+def _simplicial_members(G: np.ndarray, B: np.ndarray, verts: np.ndarray,
+                        tol: Tolerances) -> np.ndarray:
+    """Which rows of G lie in the cone over the rows of verts @ B.T.
+
+    verts holds r linearly independent rows in the coefficient space of the
+    orthonormal columns B, so the cone is simplicial and one linear solve
+    gives every generator's coefficients.  Negative coefficients are clipped
+    and a row is accepted when its l1 residual is within is_in_cone's own
+    phase-1 threshold, max(feas_tol, cone_tol * (1 + max|g|)): a row accepted
+    here has a nonnegative combination that the LP would accept too.
+    """
+    lam = np.maximum(np.linalg.solve(verts.T, (G @ B).T).T, 0.0)
+    resid = np.abs(lam @ (verts @ B.T) - G).sum(axis=1)
+    bound = np.maximum(tol.feas_tol, tol.cone_tol * (1.0 + np.max(np.abs(G), axis=1)))
+    return resid <= bound
+
+
 def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
     """rank(W) vectors whose cone encloses a pointed K_W.
 
-    Works in the r-dimensional coefficient space of span(W): strictly separate
-    the unit generators from the origin, scale them onto the hyperplane,
-    enclose them in a regular simplex, and lift the vertices back.  Every
-    generator's membership in the lifted witness is checked by one LP.
-    Pointedness is the caller's to establish.
+    Rows with max|w| <= cone_tol count as zero, as in ``decompose``.  Works
+    in the r-dimensional coefficient space of span(W): strictly separate the
+    unit generators from the origin, scale them onto the hyperplane, enclose
+    them in a regular simplex, and lift the vertices back.  The r vertices
+    lie on a hyperplane that misses the origin, so they are linearly
+    independent and one linear solve certifies that the lifted witness
+    contains every generator.  Pointedness is the caller's to establish.
     """
     G = W.generators
-    if W.m == 0:
+    G = G[np.max(np.abs(G), axis=1, initial=0.0) > tol.cone_tol]
+    if len(G) == 0:
         return G
     r = numeric_rank(G, tol)
     if r == 1:
@@ -192,11 +213,9 @@ def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
     bi = C @ hp.normal  # all >= 1
     pts = (hp.offset / bi)[:, None] * C
     verts = enclosing_simplex(pts, hp, tol)
-    witness = GeneratorSet.from_rows(verts @ B.T, dim=W.dim)
-    for g in G:
-        if not is_in_cone(g, witness, tol):  # pragma: no cover - guarantee
-            raise RuntimeError("enclosing witness does not contain a generator")
-    return witness.generators
+    if not np.all(_simplicial_members(G, B, verts, tol)):
+        raise VerificationError("enclosing witness does not contain a generator")
+    return verts @ B.T
 
 
 def cr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:

@@ -86,14 +86,37 @@ class TestRank:
         assert res["chain_ok"] is True
         assert calls == []
 
-    def test_line_missed_by_decomposition_exits_2(self, tmp_path, capsys):
-        # decompose treats the +-1e-9 rows as zero, the separator does not
+    @pytest.mark.parametrize("kind", ["cr", "all"])
+    def test_rows_below_cone_tol_count_as_zero(self, tmp_path, kind):
+        # decompose treats the +-1e-9 rows as zero, and so does CR
         code, res = run(tmp_path, "rank", {"generators": [[0, 1], [1e-9, 0], [-1e-9, 0]]},
-                        "--kind", "all")
-        assert code == 2
+                        "--kind", kind)
+        assert code == 0
+        assert {k: v["value"] for k, v in res["ranks"].items()} == dict.fromkeys(
+            res["ranks"], 1)
+        assert res["ranks"]["cr"]["witness"] == [[0.0, 1.0]]
+        if kind == "all":
+            assert set(res["ranks"]) == {"csr", "cgr", "cr"}
+            # numeric_rank at rank_tol still counts the 1e-9 rows
+            assert res["numeric_rank"] == 2 and res["chain_ok"] is False
+
+    def test_failed_cr_certificate_exits_4(self, tmp_path, capsys, monkeypatch):
+        import conescore.ranks
+
+        real = conescore.ranks.enclosing_simplex
+
+        def shrunk(*args, **kwargs):
+            verts = real(*args, **kwargs)
+            return verts.mean(axis=0) + 0.5 * (verts - verts.mean(axis=0))
+
+        monkeypatch.setattr(conescore.ranks, "enclosing_simplex", shrunk)
+        code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"),
+                        "--kind", "cr")
+        assert code == 4
         assert res is None
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_square_cone_all(self, tmp_path):
         code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"))
@@ -179,6 +202,36 @@ class TestVerify:
             "design": {"A": [[1, 0], [0, 1]]},
         }
         code, res = run(tmp_path, "verify", doc)
+        assert code == 0
+
+    def test_objective_flag_wins_over_file(self, tmp_path):
+        # [1, 1] ties (1, 2) with (2, 1): improvement fails, optimality holds
+        doc = {
+            "metrics_samples": [[0, 0], [1, 2], [2, 1]],
+            "design": {"A": [[1, 1]]},
+            "objective": "improvement",
+        }
+        code, res = run(tmp_path, "verify", doc)
+        assert code == 4 and res["declared_passed"] is False
+        code, res = run(tmp_path, "verify", doc, "--objective", "optimality")
+        assert code == 0 and res["declared_passed"] is True
+        del doc["objective"]
+        code, _ = run(tmp_path, "verify", doc)
+        assert code == 4
+
+    def test_restriction_flag_wins_over_file(self, tmp_path):
+        doc = {
+            "metrics_samples": [[0, 0], [1, 2], [2, 1]],
+            "design": {"A": [[2, 0], [0, 1]]},
+        }
+        code, res = run(tmp_path, "verify", doc)
+        assert code == 0
+        assert [r["check"] for r in res["verification"]] == ["improvement", "optimality"]
+        code, res = run(tmp_path, "verify", doc, "--restriction", "res-cs")
+        assert code == 4
+        assert res["verification"][-1]["check"] == "restriction-res-cs"
+        doc["restriction"] = "res-cs"
+        code, _ = run(tmp_path, "verify", doc, "--restriction", "res-l")
         assert code == 0
 
     def test_dimension_mismatch(self, tmp_path):

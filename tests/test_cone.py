@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conescore
 from conescore import (
     GeneratorSet,
     InputError,
@@ -36,6 +41,39 @@ class TestGeneratorSet:
             GeneratorSet.from_rows(np.ones((2, 2, 3)))
         with pytest.raises(InputError, match="finite"):
             GeneratorSet.from_rows([[1.0, np.nan]])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_index_tuples_do_not_grow_peak_rss(self):
+        # a new process inherits its parent's RSS high-water mark, so the
+        # loop runs in a fork of a small interpreter, whose mark is its own
+        code = textwrap.dedent("""
+            import os
+            import sys
+
+            pid = os.fork()
+            if pid:
+                sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+            import resource
+            import numpy as np
+            from conescore import GeneratorSet
+
+            mats = [np.random.default_rng(m).standard_normal((m, 8)) for m in range(1, 38)]
+
+            def burst(n):
+                for i in range(n):
+                    GeneratorSet.from_rows(mats[i % len(mats)])
+
+            burst(2000)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            burst(30000)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(conescore.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1024  # KiB on Linux
 
 
 class TestMembership:

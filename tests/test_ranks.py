@@ -8,6 +8,7 @@ from conescore import (
     NotPointedError,
     RankKind,
     ResourceCapError,
+    VerificationError,
     check_cone_equal,
     check_cone_subset,
     cone_generating_rank,
@@ -256,6 +257,79 @@ class TestConeRank:
             W = GeneratorSet.from_rows(G)
             res = cone_rank(W)
             assert check_cone_subset(W, res.witness)
+
+
+class TestCrCertificate:
+    """The CR witness is certified by one linear solve, not one LP per row."""
+
+    @staticmethod
+    def _random_cone(rng, trial):
+        d = int(rng.integers(2, 9))
+        m = int(rng.integers(d, d + 21))
+        G = random_pointed_rows(rng, m, d) @ random_rotation(rng, d)
+        if trial % 2:
+            G *= 10.0 ** rng.uniform(-6, 6, size=(m, 1))
+        else:
+            G[rng.integers(m)] *= 1e-6
+        return GeneratorSet.from_rows(G)
+
+    def test_agrees_with_is_in_cone(self, rng):
+        from conescore.ranks import _simplicial_members
+
+        verdicts = set()
+        for trial in range(40):
+            W = self._random_cone(rng, trial)
+            V = cone_rank(W).witness.generators
+            B = orthonormal_basis(V)
+            for shrink in (1.0, 0.5):
+                # halving the simplex about its centroid drops rows out of it
+                verts = V @ B
+                verts = verts.mean(axis=0) + shrink * (verts - verts.mean(axis=0))
+                Vset = GeneratorSet.from_rows(verts @ B.T)
+                got = bool(np.all(_simplicial_members(W.generators, B, verts, TOL)))
+                assert got == all(is_in_cone(g, Vset, TOL) for g in W.generators)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_pointed_cr_solves_two_lps(self, rng, monkeypatch):
+        # one for the decomposition, one for the separator
+        import conescore.cone
+        import conescore.lp
+
+        calls = []
+        real = conescore.lp.solve_feasibility
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(conescore.lp, "solve_feasibility", counting)
+        monkeypatch.setattr(conescore.cone, "solve_feasibility", counting)
+        W = GeneratorSet.from_rows(random_pointed_rows(rng, 15, 5))
+        ranks = cone_ranks(W, TOL, kinds=(RankKind.CR,))
+        assert ranks[RankKind.CR].value == 5
+        assert len(calls) == 2
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        import conescore.ranks
+
+        real = conescore.ranks.enclosing_simplex
+
+        def shrunk(*args, **kwargs):
+            verts = real(*args, **kwargs)
+            return verts.mean(axis=0) + 0.5 * (verts - verts.mean(axis=0))
+
+        monkeypatch.setattr(conescore.ranks, "enclosing_simplex", shrunk)
+        with pytest.raises(VerificationError, match="does not contain a generator"):
+            cone_rank(fixture_generators("square_cone_generators.json"))
+
+    def test_rows_below_cone_tol_count_as_zero(self):
+        # decompose ignores the +-1e-9 rows; CR must not separate them
+        W = GeneratorSet.from_rows([[0.0, 1.0], [1e-9, 0.0], [-1e-9, 0.0]])
+        assert decompose(W).ell == 0
+        res = cone_rank(W)
+        assert res.value == 1
+        np.testing.assert_array_equal(res.witness.generators, [[0.0, 1.0]])
 
 
 def test_basis_invariance_small(rng):
