@@ -1,31 +1,21 @@
 """Build script for the optional compiled simplex kernel.
 
 The package works without the extension (a pure-Python kernel is selected at
-import time), so any failure here is non-fatal by design: build with
-``pip install -e . --no-build-isolation`` and check ``conescore.kernel_name()``.
+import time), so a failed compile only warns: ``optional=True``.  A source
+checkout gets the kernel with ``python setup.py build_ext --inplace``; check
+``conescore.kernel_name()``.
 """
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    import numpy
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "conescore._simplex",
-                ["src/conescore/_simplex.pyx"],
-                include_dirs=[numpy.get_include()],
-                define_macros=[("NPY_NO_DEPRECATED_API", "NPY_1_7_API_VERSION")],
-                # keep bit-identical arithmetic with the pure-Python kernel
-                extra_compile_args=["-ffp-contract=off"],
-            )
-        ],
-        language_level="3",
-    )
-except Exception as exc:  # pragma: no cover - build environment dependent
-    print(f"warning: compiled kernel skipped ({exc}); pure-Python fallback will be used")
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "conescore._simplex",
+            ["src/conescore/_simplex.c"],
+            # keep bit-identical arithmetic with the pure-Python kernel
+            extra_compile_args=["-ffp-contract=off"],
+            optional=True,
+        )
+    ]
+)

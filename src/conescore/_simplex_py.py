@@ -1,6 +1,6 @@
 """Pure-Python/numpy Bland pivot loop — fallback for the compiled kernel.
 
-Must stay arithmetically identical to ``_simplex.pyx`` (same operation order,
+Must stay arithmetically identical to ``_simplex.c`` (same operation order,
 no fused multiply-add) so results do not depend on which kernel is loaded.
 """
 

@@ -187,7 +187,9 @@ def _rank(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], in
     ranks = {k.value: _rank_payload(res) for k, res in results.items()}
     payload: dict = {"ranks": ranks, "m": W.m}
     if args.kind == "all":
-        r = numeric_rank(W.generators, tol)
+        # rows with max|w| <= cone_tol count as zero, as they do for the ranks
+        G = W.generators
+        r = numeric_rank(G[np.max(np.abs(G), axis=1, initial=0.0) > tol.cone_tol], tol)
         chain = (
             W.m >= ranks["csr"]["value"] >= ranks["cgr"]["value"] >= ranks["cr"]["value"] >= r
         )

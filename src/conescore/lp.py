@@ -2,8 +2,9 @@
 
 Everything reduces to one phase-1 simplex with Bland's anti-cycling rule on a
 dense tableau, so results are fully deterministic.  The pivot loop itself is
-the hot kernel: a compiled extension is preferred, with a bit-identical
-pure-Python fallback selected at import (or forced via CONESCORE_PURE=1).
+the hot kernel: the compiled extension built from ``_simplex.c`` is
+preferred, with the bit-identical pure-Python ``_simplex_py`` selected at
+import when it is absent (or forced via CONESCORE_PURE=1).
 """
 
 from __future__ import annotations

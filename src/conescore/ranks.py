@@ -194,7 +194,8 @@ def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
     them in a regular simplex, and lift the vertices back.  The r vertices
     lie on a hyperplane that misses the origin, so they are linearly
     independent and one linear solve certifies that the lifted witness
-    contains every generator.  Pointedness is the caller's to establish.
+    contains every generator.  At numeric rank 1 the witness is the first
+    row, certified the same way.  Pointedness is the caller's to establish.
     """
     G = W.generators
     G = G[np.max(np.abs(G), axis=1, initial=0.0) > tol.cone_tol]
@@ -202,20 +203,22 @@ def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
         return G
     r = numeric_rank(G, tol)
     if r == 1:
-        return G[:1]
-
-    norms = np.linalg.norm(G, axis=1)
-    Un = G / norms[:, None]
-    B = orthonormal_basis(Un, tol)  # n x r
-    C = Un @ B  # m x r, unit rows, full-dimensional pointed cone
-    Cset = GeneratorSet.from_rows(C, dim=r)
-    hp = find_strict_separator(Cset, tol)
-    bi = C @ hp.normal  # all >= 1
-    pts = (hp.offset / bi)[:, None] * C
-    verts = enclosing_simplex(pts, hp, tol)
+        # the first row is the witness; its unit direction is the basis
+        norm = np.linalg.norm(G[0])
+        B, verts = G[:1].T / norm, np.array([[norm]])
+    else:
+        norms = np.linalg.norm(G, axis=1)
+        Un = G / norms[:, None]
+        B = orthonormal_basis(Un, tol)  # n x r
+        C = Un @ B  # m x r, unit rows, full-dimensional pointed cone
+        Cset = GeneratorSet.from_rows(C, dim=r)
+        hp = find_strict_separator(Cset, tol)
+        bi = C @ hp.normal  # all >= 1
+        pts = (hp.offset / bi)[:, None] * C
+        verts = enclosing_simplex(pts, hp, tol)
     if not np.all(_simplicial_members(G, B, verts, tol)):
         raise VerificationError("enclosing witness does not contain a generator")
-    return verts @ B.T
+    return G[:1] if r == 1 else verts @ B.T
 
 
 def cr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:

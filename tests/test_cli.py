@@ -97,8 +97,16 @@ class TestRank:
         assert res["ranks"]["cr"]["witness"] == [[0.0, 1.0]]
         if kind == "all":
             assert set(res["ranks"]) == {"csr", "cgr", "cr"}
-            # numeric_rank at rank_tol still counts the 1e-9 rows
-            assert res["numeric_rank"] == 2 and res["chain_ok"] is False
+            # the rank chain_ok compares with ignores the same rows
+            assert res["numeric_rank"] == 1 and res["chain_ok"] is True
+
+    def test_uncertified_rank_one_witness_exits_4(self, tmp_path, capsys):
+        code, res = run(tmp_path, "rank", {"generators": [[1e-5, 1e-5], [3e4, -1e4]]},
+                        "--kind", "cr")
+        assert code == 4
+        assert res is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_failed_cr_certificate_exits_4(self, tmp_path, capsys, monkeypatch):
         import conescore.ranks

@@ -323,6 +323,21 @@ class TestCrCertificate:
         with pytest.raises(VerificationError, match="does not contain a generator"):
             cone_rank(fixture_generators("square_cone_generators.json"))
 
+    def test_rank_one_witness_is_certified(self):
+        # numeric rank 1 (the threshold scales with the largest singular
+        # value), yet the first row's ray misses the second row
+        W = GeneratorSet.from_rows([[1e-5, 1e-5], [3e4, -1e4]])
+        assert numeric_rank(W.generators) == 1
+        assert not is_in_cone(W.generators[1], GeneratorSet.from_rows(W.generators[:1]))
+        with pytest.raises(VerificationError, match="does not contain a generator"):
+            cone_rank(W)
+
+    def test_rank_one_witness_is_the_first_row(self):
+        G = np.array([[2.0, 1.0, 0.0], [4.0, 2.0, 0.0], [0.2, 0.1, 0.0]])
+        res = cone_rank(GeneratorSet.from_rows(G))
+        assert res.value == 1
+        np.testing.assert_array_equal(res.witness.generators, G[:1])
+
     def test_rows_below_cone_tol_count_as_zero(self):
         # decompose ignores the +-1e-9 rows; CR must not separate them
         W = GeneratorSet.from_rows([[0.0, 1.0], [1e-9, 0.0], [-1e-9, 0.0]])

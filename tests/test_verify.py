@@ -9,6 +9,7 @@ import pytest
 
 import conescore
 from conescore import (
+    FeasibilityProblem,
     GeneratorSet,
     InputError,
     MetricSpace,
@@ -23,6 +24,7 @@ from conescore import (
     cone_generating_rank,
     design_improvement,
     pareto_front,
+    solve_feasibility,
 )
 from conescore.design import _BLOCK_CELLS
 from conftest import TOL, fixture_generators, l1_ball_samples, linf_grid, load_fixture
@@ -111,14 +113,37 @@ class TestCheckRestriction:
         assert rep.passed
         assert rep.check_name == "restriction-res-lm-certificate"
 
-    def test_lm_evidence_rejects_sign_flip(self):
+    def test_lm_certificate_rejects_sign_flip(self):
         space, design = manual_design(
             [[1.0, -1.0]], [[-1, 0], [1, -1], [-3, 1], [0, 0]],
             restriction=Restriction.RES_LM,
         )
         rep = check_restriction(design, space.hull)
         assert not rep.passed
-        assert rep.check_name == "restriction-res-lm-evidence"
+        assert rep.check_name == "restriction-res-lm-certificate"
+
+    def test_lm_certificate_rejects_direction_off_the_lattice(self):
+        # a 3-D hull in R^5 and one negative entry in A: the direction that
+        # breaks monotonicity is not among the signed {-1, 0, 1}^3 combinations
+        # of the hull basis
+        rng = np.random.default_rng(7)
+        samples = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 5))
+        A = rng.random((2, 5))
+        A[0, 0] = -3.0
+        space, design = manual_design(A, samples, restriction=Restriction.RES_LM)
+        Z = space.hull.basis
+        # Farkas witness: y with Z y >= 0 and V[0] . y = -1, i.e. two points of
+        # the hull, f = anchor + Z y >= anchor, whose first score decreases
+        M = np.vstack([np.c_[Z.T, design.V[0]], -np.c_[Z.T, design.V[0]],
+                       np.c_[-np.eye(5), np.zeros(5)]])
+        res = solve_feasibility(FeasibilityProblem(M=M, target=np.r_[np.zeros(5), -1.0]))
+        assert res.feasible
+        y = res.witness[:3] - res.witness[3:6]
+        assert np.all(Z @ y >= -1e-9) and A[0] @ (Z @ y) < -0.5
+        rep = check_restriction(design, space.hull)
+        assert not rep.passed
+        assert rep.check_name == "restriction-res-lm-certificate"
+        assert rep.checked_pairs == 2 and rep.violations == ((0, 1.0),)
 
     def test_res_l_vacuous(self):
         space, design = manual_design([[1.0, -5.0]], [[0, 0], [1, 2], [2, 1]])
