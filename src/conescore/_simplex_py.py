@@ -1,7 +1,10 @@
-"""Pure-Python/numpy Bland pivot loop — fallback for the compiled kernel.
+"""Vectorized numpy Bland pivot loop — fallback for the compiled kernel.
 
-Must stay arithmetically identical to ``_simplex.c`` (same operation order,
-no fused multiply-add) so results do not depend on which kernel is loaded.
+Each pivot is a few whole-array operations, and each one does, cell by cell,
+what ``_simplex.c`` does in its loops: the same divisions, one multiply then
+one subtract per updated cell (no fused multiply-add), and the same rows
+left untouched.  Both kernels therefore give bit-identical tableaux, bases
+and statuses, so results do not depend on which kernel is loaded.
 """
 
 from __future__ import annotations
@@ -19,29 +22,31 @@ def pivot_loop(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> i
     """
     p = T.shape[0] - 1
     q = T.shape[1] - 1
+    cost, cons, rhs = T[p, :q], T[:p], T[:p, q]
     for _ in range(max_iter):
-        col = -1
-        row = -1
-        best = 0.0
-        for j in np.nonzero(T[p, :q] < -eps)[0]:
-            for i in range(p):
-                if T[i, j] > eps:
-                    ratio = T[i, q] / T[i, j]
-                    if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
-                        row = i
-                        best = ratio
-            if row >= 0:
-                col = int(j)
+        # entering: the smallest negative-cost column with an entry above eps
+        for col in (cost < -eps).nonzero()[0]:
+            c = cons[:, col]
+            rows = (c > eps).nonzero()[0]
+            if rows.size:
                 break
-        if col < 0:
+        else:
             return 0
-        T[row, :] = T[row, :] / T[row, col]
-        for i in range(p + 1):
-            if i == row:
-                continue
-            factor = T[i, col]
-            if factor != 0.0:
-                T[i, :] = T[i, :] - factor * T[row, :]
-                T[i, col] = 0.0
+        # leaving: min ratio, ties by smallest basis label; like the C loop's
+        # running minimum, keep a NaN first ratio and skip later NaNs
+        row = rows[0]
+        if rows.size > 1:
+            ratios = rhs[rows] / c[rows]
+            if ratios[0] == ratios[0]:
+                tied = rows[ratios == np.fmin.reduce(ratios)]
+                row = tied[basis[tied].argmin()]
+        r = T[row]
+        np.divide(r, r[col], out=r)
+        # rows whose factor is 0.0 stay untouched, which keeps signed zeros
+        f = T[:, col]
+        nz = f != 0.0
+        nz[row] = False
+        np.subtract(T, np.multiply.outer(f, r), out=T, where=nz[:, None])
+        f[nz] = 0.0
         basis[row] = col
     return 1

@@ -182,11 +182,12 @@ def _decompose(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str
 def _rank(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], int]:
     W, warnings = _generators(p)
     tol = p.tolerances
-    kinds = tuple(RankKind) if args.kind == "all" else (RankKind(args.kind),)
+    kind = args.kind or "all"
+    kinds = tuple(RankKind) if kind == "all" else (RankKind(kind),)
     results = cone_ranks(W, tol, args.max_lineality_dim, kinds)
     ranks = {k.value: _rank_payload(res) for k, res in results.items()}
     payload: dict = {"ranks": ranks, "m": W.m}
-    if args.kind == "all":
+    if kind == "all":
         # rows with max|w| <= cone_tol count as zero, as they do for the ranks
         G = W.generators
         r = numeric_rank(G[np.max(np.abs(G), axis=1, initial=0.0) > tol.cone_tol], tol)
@@ -284,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--in", dest="in_path", required=True, metavar="FILE")
     ap.add_argument("--out", dest="out_path", required=True, metavar="FILE")
-    ap.add_argument("--kind", choices=["csr", "cgr", "cr", "all"], default="all")
+    ap.add_argument("--kind", choices=["csr", "cgr", "cr", "all"],
+                    help="rank only; default all")
     ap.add_argument("--objective", choices=[o.value for o in Objective])
     ap.add_argument("--restriction", choices=[r.value for r in Restriction])
     ap.add_argument("--tol-rank", type=float, dest="rank_tol")
@@ -304,6 +306,8 @@ def main(argv=None) -> int:
     run, csv_role = _COMMANDS[args.command]
     tol_overrides = {name: getattr(args, name) for name in ("rank_tol", "feas_tol", "cone_tol")}
     try:
+        if args.kind is not None and args.command != "rank":
+            raise InputError(f"--kind applies to rank only, not {args.command}")
         if args.csv and csv_role is None:
             raise InputError("verify needs a JSON problem file (design block)")
         p = load_problem(args.in_path, args.csv, csv_role, tol_overrides)

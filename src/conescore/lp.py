@@ -3,8 +3,9 @@
 Everything reduces to one phase-1 simplex with Bland's anti-cycling rule on a
 dense tableau, so results are fully deterministic.  The pivot loop itself is
 the hot kernel: the compiled extension built from ``_simplex.c`` is
-preferred, with the bit-identical pure-Python ``_simplex_py`` selected at
-import when it is absent (or forced via CONESCORE_PURE=1).
+preferred, with the vectorized numpy ``_simplex_py`` selected at import when
+it is absent (or forced via CONESCORE_PURE=1).  Both run the same operations
+in the same order, so their tableaux, and every result, are bit-identical.
 """
 
 from __future__ import annotations

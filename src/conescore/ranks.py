@@ -246,16 +246,16 @@ def cone_ranks(
     those rows); CR is the frame plus an enclosing simplex of the pointed part.
     """
     dec = decompose(W, tol)
+    # the pointed part omits rows with max|w| <= cone_tol (at ell = 0 the
+    # other rows of W, unchanged), so all three ranks see the same rows
+    P, outside = dec.pointed_generators, dec.outside_rows
     if dec.ell:
         lineal, inside = dec.lineal_generators, dec.inside_rows
-        P, outside = dec.pointed_generators, dec.outside_rows
         zs = dec.lineality_basis.T
         frame = np.vstack([-zs.sum(axis=0, keepdims=True), zs])
     else:
-        # a pointed cone is ranked on W itself: the decomposition's
-        # pointed_generators omit rows with max|w| <= cone_tol
+        # those zero rows are not a lineality space to span
         lineal, inside = GeneratorSet.from_rows(W.generators[:0], dim=W.dim), ()
-        P, outside = W, range(W.m)
         frame = W.generators[:0]
 
     def framed(kind: RankKind, rows: np.ndarray, relation: str) -> RankResult:

@@ -100,6 +100,21 @@ class TestRank:
             # the rank chain_ok compares with ignores the same rows
             assert res["numeric_rank"] == 1 and res["chain_ok"] is True
 
+    @pytest.mark.parametrize("gens, want", [
+        ([[1e-9, 0], [0, -1e-10]], []),
+        ([[0, 1], [1, 1], [1e-10, 0]], [[0.0, 1.0], [1.0, 1.0]]),
+    ], ids=["all-below-cone-tol", "one-below-cone-tol"])
+    def test_csr_and_cgr_ignore_rows_below_cone_tol(self, tmp_path, gens, want):
+        # a row below cone_tol is zero to CSR and CGR too, never a direction
+        # that makes the other rows redundant
+        code, res = run(tmp_path, "rank", {"generators": gens})
+        assert code == 0
+        ranks = res["ranks"]
+        assert ranks["csr"]["witness"] == ranks["cgr"]["witness"] == want
+        assert ranks["csr"]["value"] == ranks["cgr"]["value"] == len(want)
+        assert ranks["cr"]["value"] == res["numeric_rank"] == len(want)
+        assert res["chain_ok"] is True
+
     def test_uncertified_rank_one_witness_exits_4(self, tmp_path, capsys):
         code, res = run(tmp_path, "rank", {"generators": [[1e-5, 1e-5], [3e4, -1e4]]},
                         "--kind", "cr")
@@ -349,6 +364,15 @@ def test_exit_code_contract(tmp_path, capsys, command, case):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         assert lines == []
+
+
+@pytest.mark.parametrize("command", ["decompose", "design", "verify"])
+def test_kind_is_rank_only(tmp_path, capsys, command):
+    code, res = run(tmp_path, command, VALID, "--kind", "all")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert res is None
+    assert err == f"error: --kind applies to rank only, not {command}\n"
 
 
 def test_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,10 @@
-"""Parity between the compiled and pure-Python pivot kernels.
+"""Parity of the pivot kernels with each other and with the scalar loop.
 
-When no compiled kernel is installed, the extension is built from source into
-a temporary directory with the same ``setup.py build_ext`` users run, so the
-parity checks run wherever a C compiler exists.
+The vectorized ``_simplex_py.pivot_loop`` is checked byte for byte against
+``scalar_pivot_loop`` below, which needs no C compiler.  For the compiled
+kernel, when none is installed, the extension is built from source into a
+temporary directory with the same ``setup.py build_ext`` users run, so the
+compiled-vs-pure checks run wherever a C compiler exists.
 """
 
 import importlib.util
@@ -19,6 +21,40 @@ import pytest
 from conescore import _simplex_py
 
 ROOT = Path(__file__).resolve().parents[1]
+EPS = 1e-11
+
+
+def scalar_pivot_loop(T, basis, eps, max_iter):
+    """Bland's rule one cell at a time, in ``_simplex.c``'s operation order:
+    the reference the vectorized kernel must match byte for byte."""
+    p = T.shape[0] - 1
+    q = T.shape[1] - 1
+    for _ in range(max_iter):
+        col = -1
+        row = -1
+        best = 0.0
+        for j in np.nonzero(T[p, :q] < -eps)[0]:
+            for i in range(p):
+                if T[i, j] > eps:
+                    ratio = T[i, q] / T[i, j]
+                    if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
+                        row = i
+                        best = ratio
+            if row >= 0:
+                col = int(j)
+                break
+        if col < 0:
+            return 0
+        T[row, :] = T[row, :] / T[row, col]
+        for i in range(p + 1):
+            if i == row:
+                continue
+            factor = T[i, col]
+            if factor != 0.0:
+                T[i, :] = T[i, :] - factor * T[row, :]
+                T[i, col] = 0.0
+        basis[row] = col
+    return 1
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +81,9 @@ def compiled(tmp_path_factory):
     return module
 
 
-def random_tableau(rng, p, q):
-    A = rng.standard_normal((p, q))
-    b = np.abs(rng.standard_normal(p))
+def tableau(A, b):
+    """The phase-1 tableau ``lp.phase1`` builds for A x = b, b >= 0."""
+    p, q = A.shape
     T = np.zeros((p + 1, q + p + 1))
     T[:p, :q] = A
     T[:p, q:q + p] = np.eye(p)
@@ -58,18 +94,82 @@ def random_tableau(rng, p, q):
     return T, basis
 
 
-def test_kernels_bit_identical(rng, compiled):
+def random_tableau(rng, p, q):
+    return tableau(rng.standard_normal((p, q)), np.abs(rng.standard_normal(p)))
+
+
+def tie_heavy_tableau(rng, p, q):
+    # small integers: many equal ratios, so Bland's basis-label tie break decides
+    return tableau(rng.integers(-2, 3, (p, q)).astype(float),
+                   rng.integers(0, 3, p).astype(float))
+
+
+def signed_zero_tableau(rng, p, q):
+    # an all-zero column and -0.0 entries: rows with a zero factor must be
+    # left untouched, or -0.0 turns into 0.0
+    A = rng.integers(-1, 2, (p, q)).astype(float)
+    A[:, rng.integers(q)] = 0.0
+    T, basis = tableau(A, rng.integers(0, 2, p).astype(float))
+    T[(T == 0.0) & (rng.random(T.shape) < 0.5)] = -0.0
+    return T, basis
+
+
+TABLEAUX = {"gaussian": random_tableau, "tie-heavy": tie_heavy_tableau,
+            "signed-zeros": signed_zero_tableau}
+
+
+def pivoted(kernel, T, basis, max_iter):
+    """(tableau bytes, basis, status) after running kernel on copies."""
+    T, basis = T.copy(), basis.copy()
+    status = kernel(T, basis, EPS, max_iter)
+    return T.tobytes(), basis.tolist(), status
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 5000])
+@pytest.mark.parametrize("make", list(TABLEAUX.values()), ids=list(TABLEAUX))
+def test_vectorized_kernel_matches_scalar_loop(rng, make, max_iter):
+    for _ in range(60):
+        T, basis = make(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
+        assert (pivoted(_simplex_py.pivot_loop, T, basis, max_iter)
+                == pivoted(scalar_pivot_loop, T, basis, max_iter))
+
+
+def test_vectorized_kernel_matches_scalar_loop_on_non_finite_entries(rng):
+    # NaN and inf take the scalar loop's paths too: a NaN first ratio wins,
+    # later NaN ratios lose, and eliminated rows get an exact 0.0 pivot column
+    for _ in range(200):
+        T, basis = tie_heavy_tableau(rng, int(rng.integers(1, 8)), int(rng.integers(1, 10)))
+        u = rng.random(T.shape)
+        T[u < 0.05] = np.nan
+        T[u > 0.95] = np.inf
+        T[(u > 0.90) & (u < 0.92)] = -np.inf
+        with np.errstate(all="ignore"):
+            for max_iter in (1, 3, 200):
+                assert (pivoted(_simplex_py.pivot_loop, T, basis, max_iter)
+                        == pivoted(scalar_pivot_loop, T, basis, max_iter))
+
+
+@pytest.mark.parametrize("make", list(TABLEAUX.values()), ids=list(TABLEAUX))
+def test_one_pivot_per_call_ends_on_the_same_tableau(rng, make):
+    # a pivot counter drives the kernel with max_iter=1 until it returns 0;
+    # Bland's rule keeps no state outside T and basis, so that is one call
     for _ in range(30):
-        p = int(rng.integers(1, 10))
-        q = int(rng.integers(1, 12))
-        T, basis = random_tableau(rng, p, q)
-        T1, b1 = T.copy(), basis.copy()
-        T2, b2 = T.copy(), basis.copy()
-        s1 = compiled.pivot_loop(T1, b1, 1e-11, 5000)
-        s2 = _simplex_py.pivot_loop(T2, b2, 1e-11, 5000)
-        assert s1 == s2 == 0
-        assert np.array_equal(b1, b2)
-        assert np.array_equal(T1, T2)
+        T, basis = make(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
+        Ts, bs = T.copy(), basis.copy()
+        steps = 0
+        while _simplex_py.pivot_loop(Ts, bs, EPS, 1):
+            steps += 1
+            assert steps < 5000
+        assert (Ts.tobytes(), bs.tolist(), 0) == pivoted(_simplex_py.pivot_loop, T, basis, 5000)
+
+
+def test_kernels_bit_identical(rng, compiled):
+    for make in TABLEAUX.values():
+        for _ in range(30):
+            T, basis = make(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
+            got = pivoted(compiled.pivot_loop, T, basis, 5000)
+            assert got == pivoted(_simplex_py.pivot_loop, T, basis, 5000)
+            assert got[2] == 0
 
 
 def test_iteration_cap_stops_both_kernels_alike(rng, compiled):
