@@ -14,7 +14,6 @@ from .cone import (
     decompose,
     is_in_cone,
     is_pointed,
-    partition_by_lineality,
 )
 from .design import (
     MetricSpace,
@@ -57,8 +56,6 @@ from .ranks import (
     cone_rank,
     cone_ranks,
     cone_subset_rank,
-    cr_pointed,
-    csr_pointed,
     csr_subspace,
     enclosing_simplex,
 )

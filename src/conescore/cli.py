@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .cone import GeneratorSet, decompose
+from .cone import GeneratorSet, _nonzero_rows, decompose
 from .design import (
     MetricSpace,
     Objective,
@@ -57,6 +57,13 @@ def _choice(doc: dict, key: str, enum):
         return enum(value)
     except ValueError:
         raise InputError(f"unknown {key} {value!r}") from None
+
+
+def _flag(doc: dict, key: str) -> bool:
+    value = doc.get(key)
+    if value is not None and not isinstance(value, bool):
+        raise InputError(f"bad {key}: expected true or false, got {value!r}")
+    return bool(value)
 
 
 def _matrix(doc: dict, key: str, name: str):
@@ -99,7 +106,7 @@ def load_problem(path: str, as_csv: bool = False, csv_role: str = "metrics_sampl
         design_A=_matrix(design, "A", "design.A"),
         metrics_samples=_matrix(doc, "metrics_samples", "metrics_samples"),
         generators=_matrix(doc, "generators", "generators"),
-        assert_relint_nonempty=bool(doc.get("assert_relint_nonempty", False)),
+        assert_relint_nonempty=_flag(doc, "assert_relint_nonempty"),
     )
 
 
@@ -188,9 +195,9 @@ def _rank(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], in
     ranks = {k.value: _rank_payload(res) for k, res in results.items()}
     payload: dict = {"ranks": ranks, "m": W.m}
     if kind == "all":
-        # rows with max|w| <= cone_tol count as zero, as they do for the ranks
+        # the rows that count as zero for the ranks count as zero here too
         G = W.generators
-        r = numeric_rank(G[np.max(np.abs(G), axis=1, initial=0.0) > tol.cone_tol], tol)
+        r = numeric_rank(G[_nonzero_rows(G, tol)], tol)
         chain = (
             W.m >= ranks["csr"]["value"] >= ranks["cgr"]["value"] >= ranks["cr"]["value"] >= r
         )

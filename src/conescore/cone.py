@@ -21,7 +21,6 @@ __all__ = [
     "is_in_cone",
     "is_pointed",
     "decompose",
-    "partition_by_lineality",
 ]
 
 _ZERO_ROW_TOL = 1e-12
@@ -65,8 +64,11 @@ class ConeDecomposition:
 
     lineality_basis: d x ell orthonormal columns spanning L
     lineal_generators: original rows of W lying inside L
-    pointed_generators: projections of the remaining rows onto L-perp
+    pointed_generators: projections of the rows outside L onto L-perp
     inside_rows / outside_rows: index lists into W for recovery
+
+    Rows with max|w| <= cone_tol count as zero: they are in neither list and
+    in neither generator set, at every ell.
     """
 
     lineality_basis: np.ndarray
@@ -91,24 +93,25 @@ def is_in_cone(x, W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     # max(feas_tol, cone_tol * scale), with the LP's tolerance kept inside
     # (0, 1) however large x is
     eff = Tolerances(tol.rank_tol, max(tol.feas_tol / scale, tol.cone_tol), tol.cone_tol)
-    res = solve_feasibility(
-        FeasibilityProblem(M=W.generators, target=x / scale, require_nonneg=True), eff
-    )
+    res = solve_feasibility(FeasibilityProblem(M=W.generators, target=x / scale), eff)
     return res.feasible
+
+
+def _nonzero_rows(G: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Mask of the rows of G with max|w| > cone_tol.  The other rows count as
+    zero, for the decomposition and for all three ranks alike."""
+    return np.max(np.abs(G), axis=1, initial=0.0) > tol.cone_tol
 
 
 def _zero_combination(G: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     """Support of a convex combination of the rows of G that is zero, or None
-    when there is none.  Rows with max|w| <= cone_tol count as zero and take
-    no part, so K is pointed exactly when this returns None."""
-    active = np.nonzero(np.max(np.abs(G), axis=1, initial=0.0) > tol.cone_tol)[0]
+    when there is none.  Rows that count as zero take no part, so K is
+    pointed exactly when this returns None."""
+    active = np.nonzero(_nonzero_rows(G, tol))[0]
     if active.size == 0:
         return None
     res = solve_feasibility(
-        FeasibilityProblem(
-            M=G[active], target=np.zeros(G.shape[1]), require_nonneg=True, sum_to_one=True
-        ),
-        tol,
+        FeasibilityProblem(M=G[active], target=np.zeros(G.shape[1]), sum_to_one=True), tol
     )
     return active[res.witness > tol.feas_tol] if res.feasible else None
 
@@ -124,46 +127,30 @@ def decompose(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> ConeDecompositi
 
     Repeatedly finds a convex zero-combination of the current projected rows,
     absorbs its support into the lineality basis, and re-projects; stops when
-    the remaining projected cone is pointed.
+    the remaining projected cone is pointed.  A row that does not count as
+    zero lies inside the lineality space when its projection does count as
+    zero (cheaper than an LP and exact for a subspace).
     """
     G = W.generators
     d = W.dim
+    # rows that count as zero are decided once, on W itself: a projection
+    # can lengthen a row in the max-norm, so they take no part in the loop
+    rows = np.nonzero(_nonzero_rows(G, tol))[0]
+    P = N = G[rows]
     Z = np.zeros((d, 0))
-    P = G.copy()
     while (support := _zero_combination(P, tol)) is not None:
         # supported projected rows lie in the lineality of the projected cone;
         # they are orthogonal to Z already, so the basis strictly grows
         Z = orthonormal_basis(np.vstack([Z.T, P[support]]), tol)
-        P = project_complement(G, Z)
+        P = project_complement(N, Z)
 
-    W_L, W_rest, inside, outside = partition_by_lineality(W, Z, tol)
-    pointed = GeneratorSet.from_rows(project_complement(W_rest.generators, Z), dim=d)
+    off = _nonzero_rows(P, tol)
+    inside, outside = rows[~off], rows[off]
     return ConeDecomposition(
         lineality_basis=Z,
-        lineal_generators=W_L,
-        pointed_generators=pointed,
-        inside_rows=inside,
-        outside_rows=outside,
+        lineal_generators=GeneratorSet.from_rows(G[inside], dim=d),
+        pointed_generators=GeneratorSet.from_rows(project_complement(G[outside], Z), dim=d),
+        inside_rows=tuple(inside.tolist()),
+        outside_rows=tuple(outside.tolist()),
         ell=Z.shape[1],
     )
-
-
-def partition_by_lineality(
-    W: GeneratorSet, lineality_basis: np.ndarray, tol: Tolerances = DEFAULT_TOL
-):
-    """Split rows of W by membership in span(lineality_basis).
-
-    Classification is by projection residual (cheaper than an LP and exact
-    for a subspace).  Returns (W_L, W_rest, inside_indices, outside_indices).
-    """
-    G = W.generators
-    resid = project_complement(G, lineality_basis)
-    if G.shape[0] == 0:
-        inside_mask = np.zeros(0, dtype=bool)
-    else:
-        inside_mask = np.max(np.abs(resid), axis=1, initial=0.0) <= tol.cone_tol
-    inside = tuple(np.nonzero(inside_mask)[0].tolist())
-    outside = tuple(np.nonzero(~inside_mask)[0].tolist())
-    W_L = GeneratorSet.from_rows(G[list(inside)], dim=W.dim)
-    W_rest = GeneratorSet.from_rows(G[list(outside)], dim=W.dim)
-    return W_L, W_rest, inside, outside

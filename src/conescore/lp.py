@@ -52,12 +52,11 @@ def kernel_name() -> str:
 
 @dataclass(frozen=True)
 class FeasibilityProblem:
-    """Find a row vector lam with lam @ M = target, optionally lam >= 0 and
+    """Find a row vector lam >= 0 with lam @ M = target, optionally with
     sum(lam) = 1."""
 
     M: np.ndarray
     target: np.ndarray
-    require_nonneg: bool = True
     sum_to_one: bool = False
 
 
@@ -122,8 +121,7 @@ def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
 def solve_feasibility(p: FeasibilityProblem, tol: Tolerances = DEFAULT_TOL) -> FeasibilityResult:
     """Decide feasibility of the problem and return a witness when feasible.
 
-    Deterministic (fixed Bland pivot rule); free variables are handled by a
-    positive/negative split.
+    Deterministic (fixed Bland pivot rule).
     """
     M = np.asarray(p.M, dtype=float)
     c = np.asarray(p.target, dtype=float).ravel()
@@ -133,22 +131,17 @@ def solve_feasibility(p: FeasibilityProblem, tol: Tolerances = DEFAULT_TOL) -> F
     if c.shape[0] != n:
         raise InputError(f"target has dim {c.shape[0]}, expected {n}")
 
-    cols = M.T if p.require_nonneg else np.hstack([M.T, -M.T])  # n x vars
-    A = cols
-    b = c
+    A, b = M.T, c
     if p.sum_to_one:
-        ones = np.ones(m) if p.require_nonneg else np.concatenate([np.ones(m), -np.ones(m)])
-        A = np.vstack([A, ones])
+        A = np.vstack([A, np.ones(m)])
         b = np.concatenate([c, [1.0]])
 
-    feasible, x = phase1(A, b, tol)
+    feasible, lam = phase1(A, b, tol)
     if not feasible:
         return FeasibilityResult(False, None, float("inf"))
 
-    lam = x[:m] if p.require_nonneg else x[:m] - x[m:2 * m]
     resid = float(np.max(np.abs(lam @ M - c), initial=0.0))
-    if p.require_nonneg:
-        resid = max(resid, float(np.max(-lam, initial=0.0)))
+    resid = max(resid, float(np.max(-lam, initial=0.0)))
     if p.sum_to_one:
         resid = max(resid, abs(float(lam.sum()) - 1.0))
     return FeasibilityResult(True, lam, resid)
@@ -175,9 +168,7 @@ def find_strict_separator(W, tol: Tolerances = DEFAULT_TOL) -> SeparatingHyperpl
 
     # variables (y+, y-, s) >= 0 with C y - s = 1
     M_sep = np.vstack([C.T, -C.T, -np.eye(m)])
-    res = solve_feasibility(
-        FeasibilityProblem(M=M_sep, target=np.ones(m), require_nonneg=True), tol
-    )
+    res = solve_feasibility(FeasibilityProblem(M=M_sep, target=np.ones(m)), tol)
     if not res.feasible:
         raise NotPointedError("no strict separator exists")
     lam = res.witness

@@ -19,19 +19,17 @@ from enum import Enum
 
 import numpy as np
 
-from .cone import GeneratorSet, decompose, is_in_cone, is_pointed
-from .errors import InputError, NotPointedError, ResourceCapError, VerificationError
+from .cone import GeneratorSet, decompose, is_in_cone
+from .errors import InputError, ResourceCapError, VerificationError
 from .linalg import DEFAULT_TOL, Tolerances, numeric_rank, orthonormal_basis
 from .lp import SeparatingHyperplane, find_strict_separator
 
 __all__ = [
     "RankKind",
     "RankResult",
-    "csr_pointed",
     "csr_subspace",
     "cone_subset_rank",
     "cone_generating_rank",
-    "cr_pointed",
     "enclosing_simplex",
     "cone_rank",
     "cone_ranks",
@@ -87,16 +85,6 @@ def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
         if others and is_in_cone(G[i], GeneratorSet.from_rows(G[others], dim=W.dim), tol):
             idx.remove(i)
     return idx
-
-
-def csr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
-    """Subset rank of a pointed cone: its extreme rays, by single-pass
-    elimination.  Raises NotPointedError when K_W contains a line."""
-    if not is_pointed(W, tol):
-        raise NotPointedError("requires pointed cone")
-    idx = _extreme_rows(W, tol)
-    witness = GeneratorSet.from_rows(W.generators[idx], dim=W.dim)
-    return RankResult(RankKind.CSR, len(idx), witness, tuple(idx), "equal")
 
 
 def csr_subspace(
@@ -188,17 +176,15 @@ def _simplicial_members(G: np.ndarray, B: np.ndarray, verts: np.ndarray,
 def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
     """rank(W) vectors whose cone encloses a pointed K_W.
 
-    Rows with max|w| <= cone_tol count as zero, as in ``decompose``.  Works
-    in the r-dimensional coefficient space of span(W): strictly separate the
-    unit generators from the origin, scale them onto the hyperplane, enclose
-    them in a regular simplex, and lift the vertices back.  The r vertices
+    Works in the r-dimensional coefficient space of span(W): strictly
+    separate the unit generators from the origin, scale them onto the
+    hyperplane, enclose them in a regular simplex, and lift the vertices back.  The r vertices
     lie on a hyperplane that misses the origin, so they are linearly
     independent and one linear solve certifies that the lifted witness
     contains every generator.  At numeric rank 1 the witness is the first
     row, certified the same way.  Pointedness is the caller's to establish.
     """
     G = W.generators
-    G = G[np.max(np.abs(G), axis=1, initial=0.0) > tol.cone_tol]
     if len(G) == 0:
         return G
     r = numeric_rank(G, tol)
@@ -211,24 +197,13 @@ def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
         Un = G / norms[:, None]
         B = orthonormal_basis(Un, tol)  # n x r
         C = Un @ B  # m x r, unit rows, full-dimensional pointed cone
-        Cset = GeneratorSet.from_rows(C, dim=r)
-        hp = find_strict_separator(Cset, tol)
+        hp = find_strict_separator(C, tol)
         bi = C @ hp.normal  # all >= 1
         pts = (hp.offset / bi)[:, None] * C
         verts = enclosing_simplex(pts, hp, tol)
     if not np.all(_simplicial_members(G, B, verts, tol)):
         raise VerificationError("enclosing witness does not contain a generator")
     return G[:1] if r == 1 else verts @ B.T
-
-
-def cr_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
-    """Cone rank of a pointed cone: r = rank(W) vectors enclosing K_W.
-    Raises NotPointedError when K_W contains a line."""
-    if not is_pointed(W, tol):
-        raise NotPointedError("requires pointed cone")
-    rows = _enclosing_rows(W, tol)
-    witness = GeneratorSet.from_rows(rows, dim=W.dim)
-    return RankResult(RankKind.CR, len(rows), witness, None, "encloses")
 
 
 def cone_ranks(
@@ -239,24 +214,19 @@ def cone_ranks(
 ) -> dict[RankKind, RankResult]:
     """The requested ranks of K_W, from one decomposition.
 
-    The decomposition alone decides pointedness.  One extreme-ray elimination
-    of the pointed part serves both CSR (those rows mapped back to W, plus a
-    positively spanning subset of the lineal rows) and CGR (an (ell+1)-vector
-    frame of the lineality space, the basis plus its negated sum, followed by
-    those rows); CR is the frame plus an enclosing simplex of the pointed part.
+    The decomposition alone decides pointedness and which rows count as zero
+    (max|w| <= cone_tol; they are in neither of its parts, so all three ranks
+    ignore them).  One extreme-ray elimination of the pointed part serves both
+    CSR (those rows mapped back to W, plus a positively spanning subset of
+    the lineal rows) and CGR (an (ell+1)-vector frame of the lineality space,
+    the basis plus its negated sum, followed by those rows); CR is the frame
+    plus an enclosing simplex of the pointed part.
     """
     dec = decompose(W, tol)
-    # the pointed part omits rows with max|w| <= cone_tol (at ell = 0 the
-    # other rows of W, unchanged), so all three ranks see the same rows
     P, outside = dec.pointed_generators, dec.outside_rows
-    if dec.ell:
-        lineal, inside = dec.lineal_generators, dec.inside_rows
-        zs = dec.lineality_basis.T
-        frame = np.vstack([-zs.sum(axis=0, keepdims=True), zs])
-    else:
-        # those zero rows are not a lineality space to span
-        lineal, inside = GeneratorSet.from_rows(W.generators[:0], dim=W.dim), ()
-        frame = W.generators[:0]
+    lineal, inside = dec.lineal_generators, dec.inside_rows
+    zs = dec.lineality_basis.T
+    frame = np.vstack([-zs.sum(axis=0, keepdims=True), zs]) if dec.ell else zs
 
     def framed(kind: RankKind, rows: np.ndarray, relation: str) -> RankResult:
         witness = GeneratorSet.from_rows(np.vstack([frame, rows]), dim=W.dim)

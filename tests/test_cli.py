@@ -21,6 +21,11 @@ def run(tmp_path, command, in_doc, *args, name="problem.json"):
     return code, result
 
 
+# a row below cone_tol along the lineality space (the x-axis) and one across it
+TINY_ROW_CONES = pytest.mark.parametrize("tiny", [[-1e-9, 0], [0, 1e-9]],
+                                         ids=["along-lineality", "across-lineality"])
+
+
 class TestDecompose:
     def test_halfspace(self, tmp_path):
         code, res = run(tmp_path, "decompose", load_fixture("halfspace_2d.json"))
@@ -37,6 +42,34 @@ class TestDecompose:
         assert code == 0
         assert res["decomposition"]["ell"] == 2
         assert res["decomposition"]["pointed_count"] == 4
+
+    @TINY_ROW_CONES
+    def test_rows_below_cone_tol_are_in_neither_list(self, tmp_path, tiny):
+        code, res = run(tmp_path, "decompose", {"generators": [tiny, [1, 0], [-1, 0], [0, 1]]})
+        assert code == 0
+        dec = res["decomposition"]
+        assert dec["ell"] == 1
+        assert dec["lineal_generator_indices"] == [1, 2]
+        assert dec["pointed_generator_indices"] == [3]
+
+    def test_row_below_cone_tol_stays_zero_once_projected(self, tmp_path):
+        # projected off the lineality line (1, -1, -1), the first row has
+        # max|w| 1.2e-8 > cone_tol; it must not turn [-2, -1, -1] into a line
+        gens = [[9e-9, 9e-9, 9e-9], [1, -1, -1], [-1, 1, 1], [-2, -1, -1], [0, 1, -1]]
+        code, res = run(tmp_path, "decompose", {"generators": gens})
+        assert code == 0
+        dec = res["decomposition"]
+        assert dec["ell"] == 1
+        assert dec["lineal_generator_indices"] == [1, 2]
+        assert dec["pointed_generator_indices"] == [3, 4]
+
+    def test_rows_below_cone_tol_are_not_lineal_in_a_pointed_cone(self, tmp_path):
+        code, res = run(tmp_path, "decompose", {"generators": [[0, 1], [1e-9, 0], [-1e-9, 0]]})
+        assert code == 0
+        dec = res["decomposition"]
+        assert dec["ell"] == 0
+        assert dec["lineal_generator_indices"] == []
+        assert dec["pointed_generator_indices"] == [0]
 
 
 class TestRank:
@@ -79,12 +112,12 @@ class TestRank:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(conescore.cone, "is_pointed", counting)
-        monkeypatch.setattr(conescore.ranks, "is_pointed", counting)
         code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"),
                         "--kind", "all")
         assert code == 0
         assert res["chain_ok"] is True
         assert calls == []
+        assert not hasattr(conescore.ranks, "is_pointed")
 
     @pytest.mark.parametrize("kind", ["cr", "all"])
     def test_rows_below_cone_tol_count_as_zero(self, tmp_path, kind):
@@ -114,6 +147,19 @@ class TestRank:
         assert ranks["csr"]["value"] == ranks["cgr"]["value"] == len(want)
         assert ranks["cr"]["value"] == res["numeric_rank"] == len(want)
         assert res["chain_ok"] is True
+
+    @TINY_ROW_CONES
+    def test_rows_below_cone_tol_stay_out_of_the_lineal_part(self, tmp_path, tiny):
+        # at ell > 0 too, a row below cone_tol is no lineal generator for CSR
+        code, res = run(tmp_path, "rank", {"generators": [tiny, [1, 0], [-1, 0], [0, 1]]},
+                        "--kind", "all")
+        assert code == 0
+        assert res["ranks"]["csr"]["subset_indices"] == [1, 2, 3]
+        for rank in res["ranks"].values():
+            assert rank["value"] == 3
+            assert all(max(abs(v) for v in w) > res["tolerances"]["cone_tol"]
+                       for w in rank["witness"])
+        assert res["numeric_rank"] == 2 and res["chain_ok"] is True
 
     def test_uncertified_rank_one_witness_exits_4(self, tmp_path, capsys):
         code, res = run(tmp_path, "rank", {"generators": [[1e-5, 1e-5], [3e4, -1e4]]},
@@ -192,6 +238,14 @@ class TestDesign:
                         "--objective", "improvement", "--restriction", "res-cs")
         assert code == 0
         assert res["design"]["minimality_certified"] is False
+
+    @pytest.mark.parametrize("value", [True, False, None])
+    def test_relint_assertion_is_a_json_boolean(self, tmp_path, value):
+        doc = {**load_fixture("improvement_without_relint.json"), "assert_relint_nonempty": value}
+        code, res = run(tmp_path, "design", doc,
+                        "--objective", "improvement", "--restriction", "res-cs")
+        assert code == 0
+        assert res["design"]["minimality_certified"] is (value is True)
 
     def test_csv_input(self, tmp_path):
         csv = "-1,0\n1,1\n0,0.5\n"
@@ -342,6 +396,7 @@ MALFORMED = {
     "nan-matrix": (lambda c: _with_matrix(c, [[float("nan"), 1.0], [0.0, 1.0]]), 2),
     "3d-matrix": (lambda c: _with_matrix(c, [[[1.0]], [[2.0]]]), 2),
     "missing-keys": (lambda c: {}, 2),
+    "relint-string": (lambda c: {**VALID, "assert_relint_nonempty": "false"}, 2),
     "cone-at-1e8": (lambda c: {**VALID, "generators": BIG.tolist(),
                                "metrics_samples": BIG.tolist()}, 0),
 }

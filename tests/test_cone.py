@@ -13,13 +13,12 @@ import conescore
 from conescore import (
     GeneratorSet,
     InputError,
-    cr_pointed,
-    csr_pointed,
+    cone_rank,
+    cone_subset_rank,
     decompose,
     is_in_cone,
     is_pointed,
     orthonormal_basis,
-    partition_by_lineality,
     project_complement,
 )
 from conftest import TOL, fixture_generators, random_cone_rows, random_rotation
@@ -134,7 +133,7 @@ class TestPointedness:
 
     def test_agrees_with_decompose_on_negligible_rows(self):
         # a row 1e-10 times a generator is zero to decompose (max|w| <= cone_tol);
-        # is_pointed and the pointed-only ranks must see the cone the same way
+        # is_pointed and the ranks must see the cone the same way
         g = np.random.default_rng(1)
         for _ in range(40):
             d = int(g.integers(2, 5))
@@ -143,8 +142,8 @@ class TestPointedness:
             W = GeneratorSet.from_rows(np.vstack([G, 1e-10 * G[int(g.integers(len(G)))]]))
             assert decompose(W).ell == 0
             assert is_pointed(W)
-            csr_pointed(W)
-            cr_pointed(W)
+            assert len(G) not in cone_subset_rank(W).subset_indices
+            assert cone_rank(W).value == d
 
 
 class TestDecompose:
@@ -170,9 +169,23 @@ class TestDecompose:
         W = fixture_generators("nonpointed_5d_generators.json")
         dec = decompose(W)
         assert dec.ell == 2
-        assert dec.inside_rows == (0, 1, 2, 3)
-        assert dec.outside_rows == (4, 5, 6, 7)
         assert is_pointed(dec.pointed_generators)
+
+    @pytest.mark.parametrize("name, inside, outside", [
+        ("nonpointed_5d_generators.json", (0, 1, 2, 3), (4, 5, 6, 7)),
+        ("ray_2d.json", (), (0, 1)),
+        ("halfspace_2d.json", (0, 1), (2, 3)),
+    ], ids=["5d", "ray", "halfspace"])
+    def test_row_split(self, name, inside, outside):
+        # rows inside the lineality space are kept as they are; the others
+        # are projected into the pointed part, one for one
+        W = fixture_generators(name)
+        dec = decompose(W)
+        assert dec.inside_rows == inside
+        assert dec.outside_rows == outside
+        assert dec.lineal_generators.m == len(inside)
+        assert dec.pointed_generators.m == len(outside)
+        assert np.array_equal(dec.lineal_generators.generators, W.generators[list(inside)])
 
     def test_invariants_random(self, rng):
         for trial in range(25):
@@ -206,29 +219,6 @@ class TestDecompose:
                 assert is_in_cone(w, parts)
             for v in parts.generators:
                 assert is_in_cone(v, W)
-
-
-class TestPartition:
-    def test_5d_rows(self):
-        W = fixture_generators("nonpointed_5d_generators.json")
-        dec = decompose(W)
-        W_L, W_rest, inside, outside = partition_by_lineality(W, dec.lineality_basis)
-        assert inside == (0, 1, 2, 3)
-        assert outside == (4, 5, 6, 7)
-        assert W_L.m == 4 and W_rest.m == 4
-
-    def test_trivial_lineality(self):
-        W = fixture_generators("ray_2d.json")
-        W_L, W_rest, inside, outside = partition_by_lineality(W, np.zeros((2, 0)))
-        assert W_L.m == 0
-        assert W_rest.m == W.m
-
-    def test_halfspace_split(self):
-        W = fixture_generators("halfspace_2d.json")
-        Z = orthonormal_basis([[2.0, 1.0]])
-        W_L, W_rest, inside, outside = partition_by_lineality(W, Z)
-        assert inside == (0, 1)
-        assert outside == (2, 3)
 
 
 def test_projection_cone_interchange(rng):

@@ -46,16 +46,6 @@ class TestSolveFeasibility:
         assert not res.feasible
         assert res.witness is None
 
-    def test_free_variables(self):
-        res = solve_feasibility(
-            FeasibilityProblem(
-                M=np.array([[1.0, 0.0]]), target=np.array([-2.0, 0.0]),
-                require_nonneg=False,
-            )
-        )
-        assert res.feasible
-        assert np.allclose(res.witness, [-2.0])
-
     def test_row_permutation_invariance(self, rng):
         for _ in range(20):
             M = rng.standard_normal((5, 3))

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conescore import (
     GeneratorSet,
-    NotPointedError,
     RankKind,
     ResourceCapError,
     VerificationError,
@@ -15,8 +16,6 @@ from conescore import (
     cone_rank,
     cone_ranks,
     cone_subset_rank,
-    cr_pointed,
-    csr_pointed,
     csr_subspace,
     decompose,
     enclosing_simplex,
@@ -37,24 +36,20 @@ from conftest import (
 
 class TestCsrPointed:
     def test_duplicate_ray(self):
-        res = csr_pointed(fixture_generators("ray_2d.json"))
+        res = cone_subset_rank(fixture_generators("ray_2d.json"))
         assert res.value == 1
         assert res.relation == "equal"
         assert res.subset_indices in ((0,), (1,))
 
     def test_boundary_rays_survive(self):
-        res = csr_pointed(GeneratorSet.from_rows([[2.0, 1.0], [-2.0, 1.0], [1.0, 2.0]]))
+        res = cone_subset_rank(GeneratorSet.from_rows([[2.0, 1.0], [-2.0, 1.0], [1.0, 2.0]]))
         assert res.value == 2
         assert res.subset_indices == (0, 1)
 
     def test_square_cone_all_extreme(self):
-        res = csr_pointed(fixture_generators("square_cone_generators.json"))
+        res = cone_subset_rank(fixture_generators("square_cone_generators.json"))
         assert res.value == 4
         assert res.subset_indices == (0, 1, 2, 3)
-
-    def test_rejects_non_pointed(self):
-        with pytest.raises(NotPointedError, match="requires pointed cone"):
-            csr_pointed(fixture_generators("line_2d.json"))
 
     def test_witness_minimality(self, rng):
         # dropping any witness row loses some original generator, also when W
@@ -62,7 +57,7 @@ class TestCsrPointed:
         G = random_pointed_rows(rng, 8, 3)
         G = np.vstack([G, 3.0 * G[2], rng.random(8) @ G])
         W = GeneratorSet.from_rows(G)
-        res = csr_pointed(W)
+        res = cone_subset_rank(W)
         V = res.witness.generators
         for drop in range(res.value):
             reduced = GeneratorSet.from_rows(np.delete(V, drop, axis=0), dim=W.dim)
@@ -83,7 +78,7 @@ class TestCsrPointed:
 
         monkeypatch.setattr(conescore.ranks, "is_in_cone", counting)
         W = GeneratorSet.from_rows(G)
-        res = csr_pointed(W)
+        res = cone_subset_rank(W)
         assert len(calls) <= W.m
         assert res.value < W.m - 2
 
@@ -112,8 +107,12 @@ class TestCsrSubspace:
 
 class TestConeSubsetRank:
     def test_pointed_delegates(self):
+        from conescore.ranks import _extreme_rows
+
         W = fixture_generators("square_cone_generators.json")
-        assert cone_subset_rank(W).value == csr_pointed(W).value == 4
+        res = cone_subset_rank(W)
+        assert res.value == 4
+        assert res.subset_indices == tuple(_extreme_rows(W, TOL))
 
     def test_5d_example(self):
         res = cone_subset_rank(fixture_generators("nonpointed_5d_generators.json"))
@@ -165,25 +164,21 @@ class TestConeGeneratingRank:
 class TestCrPointed:
     def test_square_cone_triangle(self):
         W = fixture_generators("square_cone_generators.json")
-        res = cr_pointed(W)
+        res = cone_rank(W)
         assert res.value == 3
         assert res.relation == "encloses"
         assert check_cone_subset(W, res.witness)
 
     def test_single_ray(self):
-        res = cr_pointed(GeneratorSet.from_rows([[2.0, 1.0]]))
+        res = cone_rank(GeneratorSet.from_rows([[2.0, 1.0]]))
         assert res.value == 1
         assert np.allclose(res.witness.generators[0], [2.0, 1.0])
 
     def test_random_3d(self, rng):
         W = GeneratorSet.from_rows(random_pointed_rows(rng, 6, 3))
-        res = cr_pointed(W)
+        res = cone_rank(W)
         assert res.value == numeric_rank(W.generators)
         assert check_cone_subset(W, res.witness)
-
-    def test_rejects_non_pointed(self):
-        with pytest.raises(NotPointedError):
-            cr_pointed(fixture_generators("line_2d.json"))
 
     def test_paper_triangle_is_alternate_witness(self):
         W = fixture_generators("square_cone_generators.json")
@@ -437,3 +432,47 @@ def test_cone_ranks_match_single_kinds(name):
             assert (res.kind, res.value, res.subset_indices, res.relation) == (
                 ref.kind, ref.value, ref.subset_indices, ref.relation)
             np.testing.assert_array_equal(res.witness.generators, ref.witness.generators)
+
+
+def _cone_with_lineality(g, ell):
+    """Shuffled rows of a cone in R^n whose lineality space is exactly the
+    span of the first ell columns of a random rotation Q, returned with Q."""
+    n = int(g.integers(ell + 2, 6))
+    Q = random_rotation(g, n)
+    Z, Y = Q[:, :ell], Q[:, ell:]
+    frame = np.vstack([Z.T, -Z.sum(axis=1)]) if ell else np.zeros((0, n))
+    lineal = g.uniform(0.5, 2.0, size=(len(frame), 1)) * frame
+    k = int(g.integers(n - ell, n - ell + 5))
+    pointed = random_pointed_rows(g, k, n - ell) @ Y.T + g.standard_normal((k, ell)) @ Z.T
+    return g.permutation(np.vstack([lineal, pointed])), Q
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2))
+@example(96, 1)  # a projection lengthens a tiny row past cone_tol
+def test_rows_below_cone_tol_change_nothing(seed, ell):
+    # the README's guarantee: rows with max|w| <= cone_tol count as zero for
+    # the decomposition and for all three ranks alike
+    g = np.random.default_rng(seed)
+    G, Q = _cone_with_lineality(g, ell)
+    n = G.shape[1]
+    directions = [g.standard_normal(n), G[int(g.integers(len(G)))]]
+    if ell:
+        directions.append(g.standard_normal(ell) @ Q[:, :ell].T)  # inside the lineality
+    tiny = np.array([v / np.max(np.abs(v)) for v in directions])
+    tiny *= TOL.cone_tol * g.uniform(0.01, 0.99, size=(len(tiny), 1))
+    t = len(tiny)
+    W = GeneratorSet.from_rows(G)
+    Wt = GeneratorSet.from_rows(np.vstack([tiny, G]))
+    assert Wt.m == W.m + t
+
+    dec, dect = decompose(W), decompose(Wt)
+    assert dect.ell == dec.ell == ell
+    assert dect.inside_rows == tuple(i + t for i in dec.inside_rows)
+    assert dect.outside_rows == tuple(i + t for i in dec.outside_rows)
+
+    ranks, rankst = cone_ranks(W), cone_ranks(Wt)
+    for kind in RankKind:
+        assert rankst[kind].value == ranks[kind].value
+    csr = ranks[RankKind.CSR].subset_indices
+    assert rankst[RankKind.CSR].subset_indices == tuple(i + t for i in csr)
