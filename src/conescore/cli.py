@@ -161,17 +161,20 @@ def _write_result(out_path: str, command: str, payload: dict, tol: Tolerances,
         raise InputError(f"cannot write {out_path}: {exc}") from None
 
 
-def _generators(p: ProblemFile) -> tuple[GeneratorSet, list[str]]:
-    """The problem's generator set and the warning for the zero rows it drops."""
+def _generators(p: ProblemFile) -> tuple[GeneratorSet, np.ndarray, list[str]]:
+    """The problem's generator set, the mask of its rows that do not count as
+    zero (max|w| > cone_tol, as for ``decompose``) and the warning for the
+    rows that do."""
     if p.generators is None:
         raise InputError("problem file must provide generators")
     W = GeneratorSet.from_rows(p.generators)
-    dropped = W.dropped_zero_rows
-    return W, [f"dropped {dropped} zero generator row(s)"] if dropped else []
+    nonzero = _nonzero_rows(W.generators, p.tolerances)
+    dropped = W.m - int(np.count_nonzero(nonzero))
+    return W, nonzero, [f"dropped {dropped} zero generator row(s)"] if dropped else []
 
 
 def _decompose(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    W, warnings = _generators(p)
+    W, _, warnings = _generators(p)
     dec = decompose(W, p.tolerances)
     return {
         "decomposition": {
@@ -187,20 +190,17 @@ def _decompose(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str
 
 
 def _rank(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], int]:
-    W, warnings = _generators(p)
+    W, nonzero, warnings = _generators(p)
     tol = p.tolerances
     kind = args.kind or "all"
     kinds = tuple(RankKind) if kind == "all" else (RankKind(kind),)
     results = cone_ranks(W, tol, args.max_lineality_dim, kinds)
     ranks = {k.value: _rank_payload(res) for k, res in results.items()}
-    payload: dict = {"ranks": ranks, "m": W.m}
+    m = int(np.count_nonzero(nonzero))
+    payload: dict = {"ranks": ranks, "m": m}
     if kind == "all":
-        # the rows that count as zero for the ranks count as zero here too
-        G = W.generators
-        r = numeric_rank(G[_nonzero_rows(G, tol)], tol)
-        chain = (
-            W.m >= ranks["csr"]["value"] >= ranks["cgr"]["value"] >= ranks["cr"]["value"] >= r
-        )
+        r = numeric_rank(W.generators[nonzero], tol)
+        chain = m >= ranks["csr"]["value"] >= ranks["cgr"]["value"] >= ranks["cr"]["value"] >= r
         payload["numeric_rank"] = r
         payload["chain_ok"] = bool(chain)
     return payload, warnings, 0
@@ -315,6 +315,8 @@ def main(argv=None) -> int:
     try:
         if args.kind is not None and args.command != "rank":
             raise InputError(f"--kind applies to rank only, not {args.command}")
+        if args.max_lineality_dim < 0:
+            raise InputError(f"--max-lineality-dim must be >= 0, got {args.max_lineality_dim}")
         if args.csv and csv_role is None:
             raise InputError("verify needs a JSON problem file (design block)")
         p = load_problem(args.in_path, args.csv, csv_role, tol_overrides)

@@ -23,39 +23,35 @@ __all__ = [
     "decompose",
 ]
 
-_ZERO_ROW_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Rows of W generating cone K_W.  Zero rows are stripped at construction
-    (dropped_zero_rows counts them); source_indices maps retained rows back to
-    positions in the input."""
+    """Rows of W generating cone K_W, as a finite m x dim matrix.
 
-    generators: np.ndarray  # m x dim, no zero rows
-    dim: int
-    source_indices: tuple[int, ...]
-    dropped_zero_rows: int
+    Every input row is kept, so row i is input row i; rows with
+    max|w| <= cone_tol count as zero to ``decompose`` and to everything built
+    on it.  ``from_rows`` validates input from outside the package; code
+    inside it builds a GeneratorSet directly from an already validated matrix.
+    """
+
+    generators: np.ndarray  # m x dim
 
     @classmethod
     def from_rows(cls, rows, dim: int | None = None) -> "GeneratorSet":
+        """Validate and copy the rows; dim is read only when there are none."""
         G = as_matrix(rows, "generators")
         if G.size == 0:
             if dim is None:
                 raise InputError("empty generator set needs an explicit dimension")
-            return cls(np.zeros((0, dim)), dim, (), 0)
-        keep = np.max(np.abs(G), axis=1) > _ZERO_ROW_TOL
-        kept = G[keep]
-        return cls(
-            np.ascontiguousarray(kept),
-            G.shape[1],
-            tuple(np.nonzero(keep)[0].tolist()),
-            int(np.sum(~keep)),
-        )
+            return cls(np.zeros((0, dim)))
+        return cls(np.array(G, order="C"))
 
     @property
     def m(self) -> int:
         return self.generators.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.generators.shape[1]
 
 
 @dataclass(frozen=True)
@@ -63,9 +59,10 @@ class ConeDecomposition:
     """K_W = L + K_P with L the lineality space and K_P pointed.
 
     lineality_basis: d x ell orthonormal columns spanning L
-    lineal_generators: original rows of W lying inside L
+    lineal_generators: the rows of W lying inside L
     pointed_generators: projections of the rows outside L onto L-perp
-    inside_rows / outside_rows: index lists into W for recovery
+    inside_rows / outside_rows: their row positions in W, which are input
+    positions, in the order of the two generator sets
 
     Rows with max|w| <= cone_tol count as zero: they are in neither list and
     in neither generator set, at every ell.
@@ -81,20 +78,26 @@ class ConeDecomposition:
 
 def is_in_cone(x, W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff x = lam @ W for some lam >= 0, within cone_tol scaled by
-    (1 + max|x|)."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != W.dim:
-        raise InputError(f"point has dim {x.shape[0]}, cone has dim {W.dim}")
+    (1 + max|x|).  x must be one finite point of W's dimension."""
+    X = as_matrix(x, "point")
+    if X.shape[0] != 1:
+        raise InputError(f"point: expected one point, got {X.shape[0]} rows")
+    if X.shape[1] != W.dim:
+        raise InputError(f"point has dim {X.shape[1]}, cone has dim {W.dim}")
+    return _in_cone(X[0], W.generators, tol)
+
+
+def _in_cone(x: np.ndarray, G: np.ndarray, tol: Tolerances) -> bool:
+    """``is_in_cone`` for a point and generator rows already validated."""
     scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
-    if W.m == 0:
+    if len(G) == 0:
         return bool(np.max(np.abs(x), initial=0.0) <= tol.cone_tol * scale)
     # the phase-1 residual is linear in the target: deciding x / scale at
     # max(feas_tol / scale, cone_tol) is deciding x at
     # max(feas_tol, cone_tol * scale), with the LP's tolerance kept inside
     # (0, 1) however large x is
     eff = Tolerances(tol.rank_tol, max(tol.feas_tol / scale, tol.cone_tol), tol.cone_tol)
-    res = solve_feasibility(FeasibilityProblem(M=W.generators, target=x / scale), eff)
-    return res.feasible
+    return solve_feasibility(FeasibilityProblem(M=G, target=x / scale), eff).feasible
 
 
 def _nonzero_rows(G: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -148,8 +151,8 @@ def decompose(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> ConeDecompositi
     inside, outside = rows[~off], rows[off]
     return ConeDecomposition(
         lineality_basis=Z,
-        lineal_generators=GeneratorSet.from_rows(G[inside], dim=d),
-        pointed_generators=GeneratorSet.from_rows(project_complement(G[outside], Z), dim=d),
+        lineal_generators=GeneratorSet(G[inside]),
+        pointed_generators=GeneratorSet(project_complement(G[outside], Z)),
         inside_rows=tuple(inside.tolist()),
         outside_rows=tuple(outside.tolist()),
         ell=Z.shape[1],

@@ -84,14 +84,6 @@ class ScoreDesign:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _hull_generators(space: MetricSpace):
-    # rows of Z as generators in coefficient space; remember which metric
-    # coordinate each retained row came from (zero rows drop out)
-    Z = space.hull.basis
-    W = GeneratorSet.from_rows(Z, dim=space.hull.dim)
-    return Z, W
-
-
 def _degenerate(space: MetricSpace, restriction, objective) -> ScoreDesign:
     d = space.dim
     return ScoreDesign(
@@ -147,16 +139,13 @@ def _improvement_design(
     tol: Tolerances,
     max_lineality_dim: int,
 ) -> ScoreDesign:
-    Z, W = _hull_generators(space)
     if space.hull.dim == 0:
         return _degenerate(space, restriction, objective)
-    rank = cone_ranks(W, tol, max_lineality_dim, (kind,))[kind]
+    # the rows of Z, one per metric coordinate, generate the hull cone
+    Z = space.hull.basis
+    rank = cone_ranks(GeneratorSet(Z), tol, max_lineality_dim, (kind,))[kind]
     V = rank.witness.generators
-    selected = None
-    if restriction is Restriction.RES_CS:
-        # map witness subset indices back to original metric coordinates
-        selected = [W.source_indices[i] for i in rank.subset_indices]
-    A = recover_A(V, Z, restriction, selected_indices=selected, tol=tol)
+    A = recover_A(V, Z, restriction, selected_indices=rank.subset_indices, tol=tol)
     return ScoreDesign(
         A=A,
         k=rank.value,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotPointedError, ResourceCapError
-from .linalg import DEFAULT_TOL, Tolerances, orthonormal_basis
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, orthonormal_basis
 
 if os.environ.get("CONESCORE_PURE"):
     from ._simplex_py import pivot_loop
@@ -150,13 +150,12 @@ def solve_feasibility(p: FeasibilityProblem, tol: Tolerances = DEFAULT_TOL) -> F
 def find_strict_separator(W, tol: Tolerances = DEFAULT_TOL) -> SeparatingHyperplane:
     """Hyperplane in span(W) strictly separating the origin from cone(W).
 
-    Generators are scaled to unit length first; the returned normal w
-    satisfies w . w_i >= 1 for every unit generator, with offset b = 1/2.
-    Raises NotPointedError when no separator exists (non-pointed cone).
+    W is a finite matrix of generator rows.  Generators are scaled to unit
+    length first; the returned normal w satisfies w . w_i >= 1 for every unit
+    generator, with offset b = 1/2.  Raises NotPointedError when no separator
+    exists (non-pointed cone).
     """
-    G = np.asarray(getattr(W, "generators", W), dtype=float)
-    if G.ndim == 1:
-        G = G.reshape(1, -1)
+    G = as_matrix(W, "generators")
     norms = np.linalg.norm(G, axis=1)
     if np.any(norms <= tol.rank_tol):
         raise InputError("separator requires nonzero generators")

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cone import GeneratorSet, decompose, is_in_cone
+from .cone import GeneratorSet, _in_cone, decompose
 from .errors import InputError, ResourceCapError, VerificationError
 from .linalg import DEFAULT_TOL, Tolerances, numeric_rank, orthonormal_basis
 from .lp import SeparatingHyperplane, find_strict_separator
@@ -51,7 +51,8 @@ class RankResult:
 
     relation is "equal" when cone(witness) = K_W and "encloses" when only
     K_W subset-of cone(witness) is guaranteed.  subset_indices names the rows
-    of W used (subset ranks only).
+    of W used by their input positions, in increasing order (subset ranks
+    only).
     """
 
     kind: RankKind
@@ -82,7 +83,7 @@ def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
     idx = list(range(W.m))
     for i in range(W.m):
         others = [j for j in idx if j != i]
-        if others and is_in_cone(G[i], GeneratorSet.from_rows(G[others], dim=W.dim), tol):
+        if others and _in_cone(G[i], G[others], tol):
             idx.remove(i)
     return idx
 
@@ -111,9 +112,8 @@ def csr_subspace(
             U = G[list(subset)]
             if numeric_rank(U, tol) != t:
                 continue
-            Uset = GeneratorSet.from_rows(U, dim=W.dim)
-            if is_in_cone(-U.sum(axis=0), Uset, tol):
-                return RankResult(RankKind.CSR, size, Uset, tuple(subset), "equal")
+            if _in_cone(-U.sum(axis=0), U, tol):
+                return RankResult(RankKind.CSR, size, GeneratorSet(U), tuple(subset), "equal")
     raise InputError("generators do not positively span their span")
 
 
@@ -229,7 +229,7 @@ def cone_ranks(
     frame = np.vstack([-zs.sum(axis=0, keepdims=True), zs]) if dec.ell else zs
 
     def framed(kind: RankKind, rows: np.ndarray, relation: str) -> RankResult:
-        witness = GeneratorSet.from_rows(np.vstack([frame, rows]), dim=W.dim)
+        witness = GeneratorSet(np.vstack([frame, rows]))
         return RankResult(kind, len(frame) + len(rows), witness, None, relation)
 
     ranks = {}
@@ -239,7 +239,7 @@ def cone_ranks(
         extreme = _extreme_rows(P, tol)
     if RankKind.CSR in kinds:
         chosen = sorted([inside[i] for i in sub.subset_indices] + [outside[i] for i in extreme])
-        witness = GeneratorSet.from_rows(W.generators[chosen], dim=W.dim)
+        witness = GeneratorSet(W.generators[chosen])
         ranks[RankKind.CSR] = RankResult(RankKind.CSR, len(chosen), witness, tuple(chosen), "equal")
     if RankKind.CGR in kinds:
         ranks[RankKind.CGR] = framed(RankKind.CGR, P.generators[extreme], "equal")

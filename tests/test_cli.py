@@ -161,6 +161,23 @@ class TestRank:
                        for w in rank["witness"])
         assert res["numeric_rank"] == 2 and res["chain_ok"] is True
 
+    @pytest.mark.parametrize("zero", [[0, 0], [1e-10, 0]], ids=["exact-zero", "below-cone-tol"])
+    def test_indices_are_input_positions(self, tmp_path, zero):
+        # a row that counts as zero keeps its place: every index names an
+        # input row, and m and the warning count the rows as decompose does
+        doc = {"generators": [zero, [1, 0], [0, 1], [-1, 0]]}
+        code, res = run(tmp_path, "rank", doc, "--kind", "all")
+        assert code == 0
+        assert res["ranks"]["csr"]["subset_indices"] == [1, 2, 3]
+        assert res["m"] == 3
+        assert res["warnings"] == ["dropped 1 zero generator row(s)"]
+        code, res = run(tmp_path, "decompose", doc)
+        assert code == 0
+        dec = res["decomposition"]
+        assert dec["lineal_generator_indices"] == [1, 3]
+        assert dec["pointed_generator_indices"] == [2]
+        assert res["warnings"] == ["dropped 1 zero generator row(s)"]
+
     def test_uncertified_rank_one_witness_exits_4(self, tmp_path, capsys):
         code, res = run(tmp_path, "rank", {"generators": [[1e-5, 1e-5], [3e4, -1e4]]},
                         "--kind", "cr")
@@ -428,6 +445,15 @@ def test_kind_is_rank_only(tmp_path, capsys, command):
     assert code == 2
     assert res is None
     assert err == f"error: --kind applies to rank only, not {command}\n"
+
+
+def test_negative_max_lineality_dim_is_an_input_error(tmp_path, capsys):
+    code, res = run(tmp_path, "rank", {"generators": [[1, 0], [-1, 0], [0, 1]]},
+                    "--max-lineality-dim", "-1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert res is None
+    assert err == "error: --max-lineality-dim must be >= 0, got -1\n"
 
 
 def test_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):

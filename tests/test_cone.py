@@ -25,11 +25,17 @@ from conftest import TOL, fixture_generators, random_cone_rows, random_rotation
 
 
 class TestGeneratorSet:
-    def test_strips_zero_rows(self):
-        W = GeneratorSet.from_rows([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0]])
-        assert W.m == 1
-        assert W.dropped_zero_rows == 2
-        assert W.source_indices == (1,)
+    def test_keeps_every_row(self):
+        # row i is input row i, so every index the package reports is an
+        # input position; decompose alone decides which rows count as zero
+        rows = np.array([[0.0, 0.0], [1.0, 2.0], [1e-10, 0.0], [0.0, 0.0]])
+        W = GeneratorSet.from_rows(rows)
+        assert W.m == 4 and W.dim == 2
+        np.testing.assert_array_equal(W.generators, rows)
+        rows[1, 0] = 5.0  # the set holds a copy
+        assert W.generators[1, 0] == 1.0
+        dec = decompose(W)
+        assert dec.inside_rows == () and dec.outside_rows == (1,)
 
     def test_empty_needs_dim(self):
         W = GeneratorSet.from_rows(np.zeros((0, 3)), dim=3)
@@ -99,6 +105,18 @@ class TestMembership:
             inside = lo - 1e-9 <= math.atan2(x[1], x[0]) <= hi + 1e-9
             assert is_in_cone(x, W) == inside
 
+
+    @pytest.mark.parametrize("x, match", [
+        ([np.inf, 0.0], "point: entries must be finite"),
+        ([np.nan, 0.0], "point: entries must be finite"),
+        ([[1.0, 0.0], [0.0, 1.0]], "point: expected one point, got 2 rows"),
+        ([1.0, 0.0, 0.0], "point has dim 3, cone has dim 2"),
+        ([["a", 0.0]], "point: not a numeric matrix"),
+    ])
+    def test_rejects_a_bad_point(self, x, match):
+        W = GeneratorSet.from_rows([[2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(InputError, match=match):
+            is_in_cone(x, W)
 
     @pytest.mark.parametrize("scale", [1.0, 1e8, 1e12])
     def test_large_points_keep_the_lp_tolerance_in_range(self, scale):

@@ -4,6 +4,7 @@ import pytest
 from conescore import (
     FeasibilityProblem,
     GeneratorSet,
+    InputError,
     NotPointedError,
     ResourceCapError,
     find_strict_separator,
@@ -75,19 +76,18 @@ class TestSolveFeasibility:
 
 class TestStrictSeparator:
     def test_single_ray(self):
-        hp = find_strict_separator(GeneratorSet.from_rows([[2.0, 1.0], [4.0, 2.0]]))
+        hp = find_strict_separator([[2.0, 1.0], [4.0, 2.0]])
         u = np.array([2.0, 1.0]) / np.sqrt(5)
         assert hp.offset == 0.5
         assert hp.normal @ u >= 1.0 - TOL.feas_tol
 
     def test_orthant(self):
-        W = GeneratorSet.from_rows(np.eye(4))
-        hp = find_strict_separator(W)
+        hp = find_strict_separator(np.eye(4))
         assert np.all(np.eye(4) @ hp.normal >= 1.0 - TOL.feas_tol)
 
     def test_square_cone(self):
         G = np.array(load_fixture("square_cone_generators.json")["generators"])
-        hp = find_strict_separator(GeneratorSet.from_rows(G))
+        hp = find_strict_separator(G)
         U = G / np.linalg.norm(G, axis=1)[:, None]
         b_i = U @ hp.normal
         # strict separation margin guaranteed by the 1-vs-1/2 normalization
@@ -95,7 +95,12 @@ class TestStrictSeparator:
 
     def test_non_pointed_rejected(self):
         with pytest.raises(NotPointedError, match="no strict separator"):
-            find_strict_separator(GeneratorSet.from_rows([[2.0, 1.0], [-2.0, -1.0]]))
+            find_strict_separator([[2.0, 1.0], [-2.0, -1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_generator_is_an_input_error(self, bad):
+        with pytest.raises(InputError, match="generators: entries must be finite"):
+            find_strict_separator([[1.0, 0.0], [bad, 1.0]])
 
     def test_dichotomy_with_lp1(self, rng):
         # a separator exists exactly when no convex zero-combination does
@@ -109,8 +114,8 @@ class TestStrictSeparator:
             )
             if lp1.feasible:
                 with pytest.raises(NotPointedError):
-                    find_strict_separator(W)
+                    find_strict_separator(W.generators)
             else:
-                hp = find_strict_separator(W)
+                hp = find_strict_separator(W.generators)
                 U = W.generators / np.linalg.norm(W.generators, axis=1)[:, None]
                 assert np.all(U @ hp.normal >= 1.0 - TOL.feas_tol)

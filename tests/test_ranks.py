@@ -70,13 +70,13 @@ class TestCsrPointed:
         G = random_pointed_rows(rng, 6, 3)
         G = np.vstack([2.0 * G[1], G, rng.random(6) @ G, G[4]])
         calls = []
-        real = conescore.ranks.is_in_cone
+        real = conescore.ranks._in_cone
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(conescore.ranks, "is_in_cone", counting)
+        monkeypatch.setattr(conescore.ranks, "_in_cone", counting)
         W = GeneratorSet.from_rows(G)
         res = cone_subset_rank(W)
         assert len(calls) <= W.m
@@ -191,7 +191,7 @@ class TestEnclosingSimplex:
     def _hyperplane(self, rng, n, r):
         B = orthonormal_basis(rng.standard_normal((r, n)))
         W = GeneratorSet.from_rows((np.abs(rng.random((r + 2, r))) + 0.2) @ B.T, dim=n)
-        return find_strict_separator(W)
+        return find_strict_separator(W.generators)
 
     def test_single_point(self, rng):
         hp = self._hyperplane(rng, 4, 3)
@@ -201,7 +201,7 @@ class TestEnclosingSimplex:
 
     def test_square_points_get_triangle(self):
         W = fixture_generators("square_cone_generators.json")
-        hp = find_strict_separator(W)
+        hp = find_strict_separator(W.generators)
         U = W.generators  # already unit rows
         pts = (hp.offset / (U @ hp.normal))[:, None] * U
         verts = enclosing_simplex(pts, hp)
@@ -374,17 +374,41 @@ class TestConeRanks:
         G = random_pointed_rows(rng, 6, 3)
         G = np.vstack([G, rng.random(6) @ G, 2.0 * G[3]])
         calls = []
-        real = conescore.ranks.is_in_cone
+        real = conescore.ranks._in_cone
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(conescore.ranks, "is_in_cone", counting)
+        monkeypatch.setattr(conescore.ranks, "_in_cone", counting)
         W = GeneratorSet.from_rows(G)
         ranks = cone_ranks(W, TOL, kinds=(RankKind.CSR, RankKind.CGR))
         assert len(calls) <= W.m
         assert ranks[RankKind.CSR].value == ranks[RankKind.CGR].value <= W.m - 2
+
+    def test_validates_nothing_per_membership_test(self, rng, monkeypatch):
+        # only input from outside the package is validated: on a pointed cone
+        # the number of as_matrix calls does not grow with the number of rows
+        import conescore
+
+        real = conescore.linalg.as_matrix
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in vars(conescore).values():
+            if getattr(module, "as_matrix", None) is real:
+                monkeypatch.setattr(module, "as_matrix", counting)
+        counts = []
+        for m in (6, 12, 24):
+            W = GeneratorSet.from_rows(random_pointed_rows(rng, m, 4))
+            calls.clear()
+            ranks = cone_ranks(W)
+            assert ranks[RankKind.CR].value == 4
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
 
     def test_cgr_reuses_the_csr_extreme_rows(self):
         W = fixture_generators("nonpointed_5d_generators.json")
@@ -461,6 +485,7 @@ def test_rows_below_cone_tol_change_nothing(seed, ell):
         directions.append(g.standard_normal(ell) @ Q[:, :ell].T)  # inside the lineality
     tiny = np.array([v / np.max(np.abs(v)) for v in directions])
     tiny *= TOL.cone_tol * g.uniform(0.01, 0.99, size=(len(tiny), 1))
+    tiny = np.vstack([tiny, np.zeros(n)])  # an exact zero row is one more
     t = len(tiny)
     W = GeneratorSet.from_rows(G)
     Wt = GeneratorSet.from_rows(np.vstack([tiny, G]))
