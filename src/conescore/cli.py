@@ -255,7 +255,7 @@ def _verify(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], 
     obj = Objective(args.objective or p.objective or Objective.BOTH)
     declared_res = args.restriction or p.restriction
     design = ScoreDesign(
-        A=A, k=A.shape[0], restriction=Restriction(declared_res or Restriction.RES_L),
+        A=A, restriction=Restriction(declared_res or Restriction.RES_L),
         objective=obj, V=A @ space.hull.basis,
         rank_used=None, minimality_certified=False,
     )

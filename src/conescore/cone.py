@@ -63,6 +63,7 @@ class ConeDecomposition:
     pointed_generators: projections of the rows outside L onto L-perp
     inside_rows / outside_rows: their row positions in W, which are input
     positions, in the order of the two generator sets
+    ell: dim L, read from lineality_basis
 
     Rows with max|w| <= cone_tol count as zero: they are in neither list and
     in neither generator set, at every ell.
@@ -73,12 +74,17 @@ class ConeDecomposition:
     pointed_generators: GeneratorSet
     inside_rows: tuple[int, ...]
     outside_rows: tuple[int, ...]
-    ell: int
+
+    @property
+    def ell(self) -> int:
+        return self.lineality_basis.shape[1]
 
 
 def is_in_cone(x, W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff x = lam @ W for some lam >= 0, within cone_tol scaled by
-    (1 + max|x|).  x must be one finite point of W's dimension."""
+    """True iff x = lam @ W for some lam >= 0, up to an l1 residual of
+    max(feas_tol, cone_tol * (1 + max|x|)).  A W with no rows goes through
+    the same LP, so it holds the points whose l1 norm is within that bound.
+    x must be one finite point of W's dimension."""
     X = as_matrix(x, "point")
     if X.shape[0] != 1:
         raise InputError(f"point: expected one point, got {X.shape[0]} rows")
@@ -87,16 +93,23 @@ def is_in_cone(x, W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     return _in_cone(X[0], W.generators, tol)
 
 
+def _membership_bound(X: np.ndarray, tol: Tolerances):
+    """The scale 1 + max|x| of the point x (of each row, when X is 2-D) and
+    the bound max(feas_tol / scale, cone_tol) under which the l1 residual of
+    a nonnegative combination, relative to scale, puts x in the cone.
+
+    The phase-1 residual is linear in the target, so deciding x / scale at
+    this bound is deciding x at max(feas_tol, cone_tol * scale), with the
+    LP's tolerance kept inside (0, 1) however large x is.
+    """
+    scale = 1.0 + np.max(np.abs(X), axis=-1, initial=0.0)
+    return scale, np.maximum(tol.feas_tol / scale, tol.cone_tol)
+
+
 def _in_cone(x: np.ndarray, G: np.ndarray, tol: Tolerances) -> bool:
     """``is_in_cone`` for a point and generator rows already validated."""
-    scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
-    if len(G) == 0:
-        return bool(np.max(np.abs(x), initial=0.0) <= tol.cone_tol * scale)
-    # the phase-1 residual is linear in the target: deciding x / scale at
-    # max(feas_tol / scale, cone_tol) is deciding x at
-    # max(feas_tol, cone_tol * scale), with the LP's tolerance kept inside
-    # (0, 1) however large x is
-    eff = Tolerances(tol.rank_tol, max(tol.feas_tol / scale, tol.cone_tol), tol.cone_tol)
+    scale, bound = _membership_bound(x, tol)
+    eff = Tolerances(tol.rank_tol, bound, tol.cone_tol)
     return solve_feasibility(FeasibilityProblem(M=G, target=x / scale), eff).feasible
 
 
@@ -155,5 +168,4 @@ def decompose(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> ConeDecompositi
         pointed_generators=GeneratorSet(project_complement(G[outside], Z)),
         inside_rows=tuple(inside.tolist()),
         outside_rows=tuple(outside.tolist()),
-        ell=Z.shape[1],
     )

@@ -16,7 +16,14 @@ import numpy as np
 
 from .cone import GeneratorSet
 from .errors import InputError
-from .linalg import AffineHull, DEFAULT_TOL, Tolerances, as_matrix, compute_affine_hull
+from .linalg import (
+    AffineHull,
+    DEFAULT_TOL,
+    Tolerances,
+    as_matrix,
+    compute_affine_hull,
+    numeric_rank,
+)
 from .ranks import DEFAULT_MAX_LINEALITY_DIM, RankKind, RankResult, cone_ranks
 
 __all__ = [
@@ -72,10 +79,12 @@ class MetricSpace:
 
 @dataclass(frozen=True)
 class ScoreDesign:
-    """A k x d score matrix with its coefficient form V = A Z and provenance."""
+    """A k x d score matrix with its coefficient form V = A Z and provenance.
+
+    k, the score dimension, is read from A.
+    """
 
     A: np.ndarray
-    k: int
     restriction: Restriction
     objective: Objective
     V: np.ndarray
@@ -83,12 +92,15 @@ class ScoreDesign:
     minimality_certified: bool
     warnings: tuple[str, ...] = field(default=())
 
+    @property
+    def k(self) -> int:
+        return self.A.shape[0]
+
 
 def _degenerate(space: MetricSpace, restriction, objective) -> ScoreDesign:
     d = space.dim
     return ScoreDesign(
         A=np.zeros((0, d)),
-        k=0,
         restriction=restriction,
         objective=objective,
         V=np.zeros((0, 0)),
@@ -148,7 +160,6 @@ def _improvement_design(
     A = recover_A(V, Z, restriction, selected_indices=rank.subset_indices, tol=tol)
     return ScoreDesign(
         A=A,
-        k=rank.value,
         restriction=restriction,
         objective=objective,
         V=V,
@@ -195,7 +206,6 @@ def design_optimality(
         A = np.ones((1, d))
         return ScoreDesign(
             A=A,
-            k=1,
             restriction=restriction,
             objective=Objective.OPTIMALITY,
             V=A @ Z,
@@ -206,7 +216,7 @@ def design_optimality(
     chosen: list[int] = []
     for j in range(d):
         trial = chosen + [j]
-        if np.linalg.matrix_rank(Z[trial], tol=tol.rank_tol) == len(trial):
+        if numeric_rank(Z[trial], tol) == len(trial):
             chosen.append(j)
         if len(chosen) == r:
             break
@@ -216,7 +226,6 @@ def design_optimality(
     A[np.arange(r), chosen] = 1.0
     return ScoreDesign(
         A=A,
-        k=r,
         restriction=Restriction.RES_CS,
         objective=Objective.OPTIMALITY,
         V=Z[chosen],

@@ -88,9 +88,12 @@ def numeric_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return 0
+    return _rank_of(np.linalg.svd(M, compute_uv=False), tol)
+
+
+def _rank_of(s: np.ndarray, tol: Tolerances) -> int:
+    """How many of the descending, nonempty singular values s count:
+    those above rank_tol * max(1, s[0])."""
     return int(np.sum(s > tol.rank_tol * max(1.0, s[0])))
 
 
@@ -117,12 +120,8 @@ def orthonormal_basis(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if V.size == 0:
         d = V.shape[1] if V.ndim == 2 else 0
         return np.zeros((d, 0))
-    d = V.shape[1]
     _, s, vh = np.linalg.svd(V, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((d, 0))
-    r = int(np.sum(s > tol.rank_tol * max(1.0, s[0])))
-    return _fix_signs(vh[:r].T)
+    return _fix_signs(vh[:_rank_of(s, tol)].T)
 
 
 def compute_affine_hull(samples, tol: Tolerances = DEFAULT_TOL) -> AffineHull:

@@ -62,9 +62,16 @@ class FeasibilityProblem:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
+    """The verdict of one phase-1 LP and, when feasible, its basic solution.
+
+    Feasible means the phase-1 l1 residual, sum |lam @ M - target| (plus
+    |sum(lam) - 1| with sum_to_one), reached feas_tol; that residual is the
+    one certificate, and witness is the lam attaining it (None when
+    infeasible).
+    """
+
     feasible: bool
     witness: np.ndarray | None
-    max_violation: float
 
 
 @dataclass(frozen=True)
@@ -80,22 +87,21 @@ class SeparatingHyperplane:
 def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     """Phase-1 simplex for A x = b, x >= 0.
 
-    Returns (feasible, x).  Feasible iff the artificial objective reaches
-    feas_tol; x is the basic solution (meaningful only when feasible).
-    Raises ResourceCapError when the pivot loop hits its iteration cap.
+    Returns (feasible, x).  Feasible iff the artificial objective, the l1
+    residual sum |A x - b|, reaches feas_tol; x is the basic solution
+    (meaningful only when feasible).  Any p, q >= 0 goes through the same
+    tableau: with no rows or no columns no column can enter, so the verdict
+    is the l1 norm of b.  Raises ResourceCapError when the pivot loop hits
+    its iteration cap.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float).copy()
     p, q = A.shape
-    if p == 0:
-        return True, np.zeros(q)
     flip = b < 0
     if np.any(flip):
         A = A.copy()
         A[flip] = -A[flip]
         b[flip] = -b[flip]
-    if q == 0:
-        return bool(np.max(np.abs(b), initial=0.0) <= tol.feas_tol), np.zeros(0)
 
     T = np.zeros((p + 1, q + p + 1))
     T[:p, :q] = A
@@ -137,14 +143,7 @@ def solve_feasibility(p: FeasibilityProblem, tol: Tolerances = DEFAULT_TOL) -> F
         b = np.concatenate([c, [1.0]])
 
     feasible, lam = phase1(A, b, tol)
-    if not feasible:
-        return FeasibilityResult(False, None, float("inf"))
-
-    resid = float(np.max(np.abs(lam @ M - c), initial=0.0))
-    resid = max(resid, float(np.max(-lam, initial=0.0)))
-    if p.sum_to_one:
-        resid = max(resid, abs(float(lam.sum()) - 1.0))
-    return FeasibilityResult(True, lam, resid)
+    return FeasibilityResult(feasible, lam if feasible else None)
 
 
 def find_strict_separator(W, tol: Tolerances = DEFAULT_TOL) -> SeparatingHyperplane:

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cone import GeneratorSet, _in_cone, decompose
+from .cone import GeneratorSet, _in_cone, _membership_bound, decompose
 from .errors import InputError, ResourceCapError, VerificationError
 from .linalg import DEFAULT_TOL, Tolerances, numeric_rank, orthonormal_basis
 from .lp import SeparatingHyperplane, find_strict_separator
@@ -47,7 +47,7 @@ class RankKind(Enum):
 
 @dataclass(frozen=True)
 class RankResult:
-    """A rank value plus the generator set attaining it.
+    """The generator set attaining a rank; the rank value is its size.
 
     relation is "equal" when cone(witness) = K_W and "encloses" when only
     K_W subset-of cone(witness) is guaranteed.  subset_indices names the rows
@@ -56,7 +56,6 @@ class RankResult:
     """
 
     kind: RankKind
-    value: int
     witness: GeneratorSet
     subset_indices: tuple[int, ...] | None
     relation: str
@@ -64,10 +63,10 @@ class RankResult:
     def __post_init__(self) -> None:
         if self.relation not in ("equal", "encloses"):
             raise ValueError(f"unknown rank relation {self.relation!r}")
-        if self.value != self.witness.m:
-            raise ValueError(
-                f"rank value {self.value} differs from witness size {self.witness.m}"
-            )
+
+    @property
+    def value(self) -> int:
+        return self.witness.m
 
 
 def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
@@ -100,7 +99,7 @@ def csr_subspace(
     lies back in cone(U) — exactly the subsets that positively span span(W).
     """
     if W.m == 0:
-        return RankResult(RankKind.CSR, 0, W, (), "equal")
+        return RankResult(RankKind.CSR, W, (), "equal")
     G = W.generators
     t = numeric_rank(G, tol)
     if t > max_lineality_dim or math.comb(W.m, min(2 * t, W.m)) > _MAX_SUBSETS:
@@ -113,7 +112,7 @@ def csr_subspace(
             if numeric_rank(U, tol) != t:
                 continue
             if _in_cone(-U.sum(axis=0), U, tol):
-                return RankResult(RankKind.CSR, size, GeneratorSet(U), tuple(subset), "equal")
+                return RankResult(RankKind.CSR, GeneratorSet(U), tuple(subset), "equal")
     raise InputError("generators do not positively span their span")
 
 
@@ -124,8 +123,9 @@ def enclosing_simplex(
 
     With r = dim of the hyperplane's ambient span, returns r vertices of a
     regular (r-1)-simplex with incenter at the mean of U and inradius
-    max-distance * (1 + cone_tol), which contains every point of U.  No LP
-    is solved here: the caller certifies the witness it lifts from them.
+    max-distance * (1 + cone_tol), which contains every point of U (at
+    r = 1, the mean of U, the one point of the hyperplane).  No LP is solved
+    here: the caller certifies the witness it lifts from them.
     """
     U = np.asarray(U, dtype=float)
     if U.ndim == 1:
@@ -137,8 +137,6 @@ def enclosing_simplex(
     for u in U:
         if abs(float(w @ u) - b) > tol.cone_tol * (1.0 + abs(b)):
             raise InputError("point not on the hyperplane")
-    if r == 1:
-        return U[:1].copy()
 
     ubar = U.mean(axis=0)
     R = float(np.max(np.linalg.norm(U - ubar, axis=1), initial=0.0))
@@ -163,14 +161,14 @@ def _simplicial_members(G: np.ndarray, B: np.ndarray, verts: np.ndarray,
     verts holds r linearly independent rows in the coefficient space of the
     orthonormal columns B, so the cone is simplicial and one linear solve
     gives every generator's coefficients.  Negative coefficients are clipped
-    and a row is accepted when its l1 residual is within is_in_cone's own
-    phase-1 threshold, max(feas_tol, cone_tol * (1 + max|g|)): a row accepted
-    here has a nonnegative combination that the LP would accept too.
+    and a row is accepted when its l1 residual, relative to its scale, is
+    within is_in_cone's own bound: a row accepted here has a nonnegative
+    combination that the LP would accept too.
     """
     lam = np.maximum(np.linalg.solve(verts.T, (G @ B).T).T, 0.0)
     resid = np.abs(lam @ (verts @ B.T) - G).sum(axis=1)
-    bound = np.maximum(tol.feas_tol, tol.cone_tol * (1.0 + np.max(np.abs(G), axis=1)))
-    return resid <= bound
+    scale, bound = _membership_bound(G, tol)
+    return resid / scale <= bound
 
 
 def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
@@ -229,8 +227,7 @@ def cone_ranks(
     frame = np.vstack([-zs.sum(axis=0, keepdims=True), zs]) if dec.ell else zs
 
     def framed(kind: RankKind, rows: np.ndarray, relation: str) -> RankResult:
-        witness = GeneratorSet(np.vstack([frame, rows]))
-        return RankResult(kind, len(frame) + len(rows), witness, None, relation)
+        return RankResult(kind, GeneratorSet(np.vstack([frame, rows])), None, relation)
 
     ranks = {}
     if RankKind.CSR in kinds:
@@ -240,7 +237,7 @@ def cone_ranks(
     if RankKind.CSR in kinds:
         chosen = sorted([inside[i] for i in sub.subset_indices] + [outside[i] for i in extreme])
         witness = GeneratorSet(W.generators[chosen])
-        ranks[RankKind.CSR] = RankResult(RankKind.CSR, len(chosen), witness, tuple(chosen), "equal")
+        ranks[RankKind.CSR] = RankResult(RankKind.CSR, witness, tuple(chosen), "equal")
     if RankKind.CGR in kinds:
         ranks[RankKind.CGR] = framed(RankKind.CGR, P.generators[extreme], "equal")
     if RankKind.CR in kinds:

@@ -149,7 +149,7 @@ def test_criterion_07_monotone_improvement_implies_optimality():
         A = rng.random((int(rng.integers(1, 5)), d)) * rng.choice([0.5, 1.0, 3.0])
         space = MetricSpace.from_samples(F)
         design = ScoreDesign(
-            A=A, k=A.shape[0], restriction=Restriction.RES_LM,
+            A=A, restriction=Restriction.RES_LM,
             objective=Objective.BOTH, V=A @ space.hull.basis,
             rank_used=None, minimality_certified=False,
         )
@@ -168,7 +168,7 @@ def test_criterion_08_norm_ball_selection_thresholds():
         A = np.zeros((len(coords), 3))
         A[np.arange(len(coords)), list(coords)] = 1.0
         return ScoreDesign(
-            A=A, k=len(coords), restriction=Restriction.RES_CS,
+            A=A, restriction=Restriction.RES_CS,
             objective=Objective.OPTIMALITY, V=A @ space.hull.basis,
             rank_used=None, minimality_certified=False,
         )
@@ -181,7 +181,7 @@ def test_criterion_08_norm_ball_selection_thresholds():
     ball = l1_ball_samples(np.random.default_rng(717171), 3, 100)
     ball_space = MetricSpace.from_samples(ball)
     one = ScoreDesign(
-        A=np.array([[1.0, 0.0, 0.0]]), k=1, restriction=Restriction.RES_CS,
+        A=np.array([[1.0, 0.0, 0.0]]), restriction=Restriction.RES_CS,
         objective=Objective.OPTIMALITY, V=np.array([[1.0, 0.0, 0.0]]) @ ball_space.hull.basis,
         rank_used=None, minimality_certified=False,
     )

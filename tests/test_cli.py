@@ -407,6 +407,9 @@ def _with_matrix(command, value):
 MALFORMED = {
     "tolerances-string": (lambda c: {**VALID, "tolerances": "abc"}, 2),
     "tolerances-list": (lambda c: {**VALID, "tolerances": [1, 2]}, 2),
+    "tolerances-unknown-key": (lambda c: {**VALID, "tolerances": {"pivot_tol": 1e-9}}, 2),
+    "tolerance-string": (lambda c: {**VALID, "tolerances": {"cone_tol": "1e-8"}}, 2),
+    "document-array": (lambda c: [VALID], 2),
     "unwritable-out": (lambda c: VALID, 2),
     "restriction-list": (lambda c: {**VALID, "restriction": ["res-l"]}, 2),
     "ragged-matrix": (lambda c: _with_matrix(c, [[1.0, 2.0], [3.0]]), 2),
@@ -445,6 +448,13 @@ def test_kind_is_rank_only(tmp_path, capsys, command):
     assert code == 2
     assert res is None
     assert err == f"error: --kind applies to rank only, not {command}\n"
+
+
+def test_verify_rejects_csv_input(tmp_path, capsys):
+    code, res = run(tmp_path, "verify", "0,0\n1,2\n2,1\n", "--csv", name="samples.csv")
+    assert code == 2
+    assert res is None
+    assert capsys.readouterr().err == "error: verify needs a JSON problem file (design block)\n"
 
 
 def test_negative_max_lineality_dim_is_an_input_error(tmp_path, capsys):

@@ -106,6 +106,15 @@ class TestMembership:
             assert is_in_cone(x, W) == inside
 
 
+    @pytest.mark.parametrize("rows", [np.zeros((0, 2)), [[0.0, 0.0]], [[1e-11, 0.0]]],
+                             ids=["no-rows", "zero-row", "tiny-row"])
+    def test_rows_that_span_nothing_share_one_verdict(self, rows):
+        # one phase-1 LP decides all three: the point is inside when its l1
+        # norm is within max(feas_tol, cone_tol * (1 + max|x|))
+        W = GeneratorSet.from_rows(rows, dim=2)
+        assert not is_in_cone([8e-9, 8e-9], W)
+        assert is_in_cone([4e-9, 4e-9], W)
+
     @pytest.mark.parametrize("x, match", [
         ([np.inf, 0.0], "point: entries must be finite"),
         ([np.nan, 0.0], "point: entries must be finite"),

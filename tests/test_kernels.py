@@ -172,6 +172,29 @@ def test_kernels_bit_identical(rng, compiled):
             assert got[2] == 0
 
 
+def degenerate_tableaux(rng):
+    """The tableaux ``lp.phase1`` builds for an LP with no constraint rows
+    (one cost row, an empty basis) or no columns (artificials only), plus
+    the first with an arbitrary cost row: no row can leave, so none pivots."""
+    for q in range(4):
+        T, basis = tableau(np.zeros((0, q)), np.zeros(0))
+        yield T, basis
+        T = T.copy()
+        T[0, :q] = rng.standard_normal(q)
+        yield T, basis
+    for p in range(1, 5):
+        yield tableau(np.zeros((p, 0)), np.abs(rng.standard_normal(p)))
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vectorized", "compiled"])
+def test_no_rows_or_no_columns_stop_at_once(request, rng, kernel):
+    loop = {"scalar": scalar_pivot_loop, "vectorized": _simplex_py.pivot_loop}.get(kernel)
+    if loop is None:
+        loop = request.getfixturevalue("compiled").pivot_loop
+    for T, basis in degenerate_tableaux(rng):
+        assert pivoted(loop, T, basis, 5000) == (T.tobytes(), basis.tolist(), 0)
+
+
 def test_iteration_cap_stops_both_kernels_alike(rng, compiled):
     T, basis = random_tableau(rng, 6, 8)
     states = []

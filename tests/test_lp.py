@@ -20,12 +20,21 @@ def test_kernel_selected():
 
 class TestSolveFeasibility:
     def test_axis_combination(self):
-        res = solve_feasibility(
-            FeasibilityProblem(M=np.eye(2), target=np.array([1.0, 1.0]))
-        )
+        M, c = np.eye(2), np.array([1.0, 1.0])
+        res = solve_feasibility(FeasibilityProblem(M=M, target=c))
         assert res.feasible
         assert np.allclose(res.witness, [1.0, 1.0])
-        assert res.max_violation <= TOL.feas_tol
+        assert np.all(res.witness >= 0.0)
+        assert np.abs(res.witness @ M - c).sum() <= TOL.feas_tol
+
+    @pytest.mark.parametrize("rows", [0, 1], ids=["no-rows", "zero-row"])
+    def test_verdict_is_the_l1_residual_when_no_row_helps(self, rows):
+        # no row can reduce the residual, so the verdict is |target|_1 <= feas_tol
+        M = np.zeros((rows, 2))
+        assert not solve_feasibility(FeasibilityProblem(M=M, target=[6e-9, -6e-9])).feasible
+        res = solve_feasibility(FeasibilityProblem(M=M, target=[4e-9, -4e-9]))
+        assert res.feasible
+        assert np.array_equal(res.witness, np.zeros(rows))
 
     def test_convex_zero_combination_on_line(self):
         M = np.array([[2.0, 1.0], [-2.0, -1.0]])

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,17 @@ class TestEnclosingSimplex:
         u = 0.5 * hp.normal / (hp.normal @ hp.normal)
         verts = enclosing_simplex(u.reshape(1, -1), hp)
         assert verts.shape[0] == 3
+
+    def test_rank_one_is_the_point_itself(self):
+        # at r = 1 the hyperplane meets span(W) in one point, which is the
+        # whole simplex: its mean, with nothing degenerate along the way
+        hp = find_strict_separator([[2.0, 1.0, 0.0]])
+        u = np.array([2.0, 1.0, 0.0]) / np.sqrt(5.0)
+        point = (hp.offset / (hp.normal @ u)) * u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verts = enclosing_simplex(point, hp)
+        np.testing.assert_array_equal(verts, point.reshape(1, -1))
 
     def test_square_points_get_triangle(self):
         W = fixture_generators("square_cone_generators.json")
