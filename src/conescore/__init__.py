@@ -20,11 +20,8 @@ from .design import (
     Objective,
     Restriction,
     ScoreDesign,
-    design_both,
-    design_improvement,
-    design_optimality,
+    design_score,
     pareto_front,
-    recover_A,
 )
 from .errors import (
     ConescoreError,
@@ -68,4 +65,9 @@ from .verify import (
     check_restriction,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# every name imported above; the submodules stay attributes of the package
+# (conescore.design is the module) but are not part of its API
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -26,9 +26,7 @@ from .design import (
     Objective,
     Restriction,
     ScoreDesign,
-    design_both,
-    design_improvement,
-    design_optimality,
+    design_score,
 )
 from .errors import ConescoreError, InputError, VerificationError
 from .linalg import Tolerances, as_matrix, numeric_rank
@@ -213,13 +211,7 @@ def _design(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], 
     res = Restriction(args.restriction or p.restriction or Restriction.RES_L)
     tol = p.tolerances
     space = MetricSpace.from_samples(p.metrics_samples, p.assert_relint_nonempty, tol)
-
-    if obj is Objective.IMPROVEMENT:
-        design = design_improvement(space, res, tol, args.max_lineality_dim)
-    elif obj is Objective.OPTIMALITY:
-        design = design_optimality(space, res, tol)
-    else:
-        design = design_both(space, res, tol, args.max_lineality_dim)
+    design = design_score(space, obj, res, tol, args.max_lineality_dim)
 
     reports = []
     if obj in (Objective.IMPROVEMENT, Objective.BOTH):

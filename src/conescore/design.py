@@ -31,11 +31,8 @@ __all__ = [
     "Objective",
     "MetricSpace",
     "ScoreDesign",
-    "design_improvement",
-    "design_optimality",
-    "design_both",
+    "design_score",
     "pareto_front",
-    "recover_A",
 ]
 
 
@@ -97,157 +94,78 @@ class ScoreDesign:
         return self.A.shape[0]
 
 
-def _degenerate(space: MetricSpace, restriction, objective) -> ScoreDesign:
-    d = space.dim
-    return ScoreDesign(
-        A=np.zeros((0, d)),
-        restriction=restriction,
-        objective=objective,
-        V=np.zeros((0, 0)),
-        rank_used=None,
-        minimality_certified=False,
-        warnings=("degenerate metric space: affine hull is a point, k = 0",),
-    )
+# The paper's rank table: for the improvement and both objectives the minimal
+# k is this cone rank of the affine-hull basis rows.  Optimality needs none.
+_RANK_FOR = {
+    Objective.IMPROVEMENT: {
+        Restriction.RES_CS: RankKind.CSR,
+        Restriction.RES_LM: RankKind.CGR,
+        Restriction.RES_L: RankKind.CR,
+    },
+    # the witness cone must regenerate the hull cone exactly (monotone
+    # score), so Res-L uses the generating rank here, not the cone rank
+    Objective.BOTH: {
+        Restriction.RES_CS: RankKind.CSR,
+        Restriction.RES_LM: RankKind.CGR,
+        Restriction.RES_L: RankKind.CGR,
+    },
+}
 
 
-def recover_A(V, Z, restriction, selected_indices=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Recover a k x d score matrix A with A Z = V.
-
-    For coordinate selection the rows of V must be rows of Z and A gets 1-hot
-    rows picking those coordinates (selected_indices, when given, names them
-    directly).  Otherwise the minimum-norm solution A = V Z^T is returned.
-    """
-    V = np.asarray(V, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if V.ndim == 1:
-        V = V.reshape(1, -1)
-    d = Z.shape[0]
-    if restriction == Restriction.RES_CS:
-        k = V.shape[0]
-        A = np.zeros((k, d))
-        for i in range(k):
-            if selected_indices is not None:
-                j = int(selected_indices[i])
-                if not np.allclose(Z[j], V[i], atol=10 * tol.rank_tol):
-                    raise InputError("not coordinate-selectable")
-            else:
-                matches = [
-                    j for j in range(d)
-                    if np.allclose(Z[j], V[i], atol=10 * tol.rank_tol)
-                ]
-                if not matches:
-                    raise InputError("not coordinate-selectable")
-                j = matches[0]
-            A[i, j] = 1.0
-        return A
-    return V @ Z.T
-
-
-def _improvement_design(
+def design_score(
     space: MetricSpace,
-    restriction: Restriction,
     objective: Objective,
-    kind: RankKind,
-    tol: Tolerances,
-    max_lineality_dim: int,
+    restriction: Restriction,
+    tol: Tolerances = DEFAULT_TOL,
+    max_lineality_dim: int = DEFAULT_MAX_LINEALITY_DIM,
 ) -> ScoreDesign:
-    if space.hull.dim == 0:
-        return _degenerate(space, restriction, objective)
-    # the rows of Z, one per metric coordinate, generate the hull cone
+    """Minimal-k design for an objective under a restriction.
+
+    The rows of Z, the d x r affine-hull basis, one per metric coordinate,
+    generate the hull cone.  For improvement and both, k is the cone rank
+    ``_RANK_FOR`` names, of those rows, and V is its witness.  Optimality
+    needs no rank: any positive functional works for Res-LM/Res-L (k = 1, an
+    all-ones row), and Res-CS takes the first r linearly independent rows of
+    Z (k = r).  Under Res-CS A has 1-hot rows at the chosen rows of Z, so
+    V = A Z exactly; otherwise A = V Z^T, the minimum-norm solution of
+    A Z = V.  A hull that is a point gives k = 0 with a warning.
+    """
+    if not (isinstance(objective, Objective) and isinstance(restriction, Restriction)):
+        raise InputError(
+            f"expected an Objective and a Restriction, got {objective!r}, {restriction!r}"
+        )
     Z = space.hull.basis
-    rank = cone_ranks(GeneratorSet(Z), tol, max_lineality_dim, (kind,))[kind]
-    V = rank.witness.generators
-    A = recover_A(V, Z, restriction, selected_indices=rank.subset_indices, tol=tol)
+    d, r = Z.shape
+    kind = _RANK_FOR.get(objective, {}).get(restriction) if r else None
+    rank = None if kind is None else cone_ranks(
+        GeneratorSet(Z), tol, max_lineality_dim, (kind,))[kind]
+    if r == 0:
+        A, V = np.zeros((0, d)), np.zeros((0, 0))
+    elif restriction is Restriction.RES_CS:
+        if rank is not None:
+            rows = list(rank.subset_indices)
+        else:
+            rows = []
+            for j in range(d):
+                if len(rows) < r and numeric_rank(Z[rows + [j]], tol) == len(rows) + 1:
+                    rows.append(j)
+        A = np.zeros((len(rows), d))
+        A[np.arange(len(rows)), rows] = 1.0
+        V = Z[rows]
+    elif rank is None:
+        A = np.ones((1, d))
+        V = A @ Z
+    else:
+        V = rank.witness.generators
+        A = V @ Z.T
     return ScoreDesign(
         A=A,
         restriction=restriction,
         objective=objective,
         V=V,
         rank_used=rank,
-        minimality_certified=space.relint_nonempty,
-    )
-
-
-def design_improvement(
-    space: MetricSpace,
-    restriction: Restriction,
-    tol: Tolerances = DEFAULT_TOL,
-    max_lineality_dim: int = DEFAULT_MAX_LINEALITY_DIM,
-) -> ScoreDesign:
-    """Minimal-k design for the improvement objective.
-
-    k is the subset rank (Res-CS), generating rank (Res-LM) or cone rank
-    (Res-L) of the affine-hull basis rows; A is recovered from the witness.
-    """
-    kind = {
-        Restriction.RES_CS: RankKind.CSR,
-        Restriction.RES_LM: RankKind.CGR,
-        Restriction.RES_L: RankKind.CR,
-    }[restriction]
-    return _improvement_design(
-        space, restriction, Objective.IMPROVEMENT, kind, tol, max_lineality_dim
-    )
-
-
-def design_optimality(
-    space: MetricSpace, restriction: Restriction, tol: Tolerances = DEFAULT_TOL
-) -> ScoreDesign:
-    """Minimal-k design for the optimality objective.
-
-    Any positive linear functional works for Res-LM/Res-L (k = 1, all-ones
-    row); Res-CS selects r linearly independent metric coordinates (k = r).
-    """
-    Z = space.hull.basis
-    d = space.dim
-    r = space.hull.dim
-    if r == 0:
-        return _degenerate(space, restriction, Objective.OPTIMALITY)
-    if restriction in (Restriction.RES_LM, Restriction.RES_L):
-        A = np.ones((1, d))
-        return ScoreDesign(
-            A=A,
-            restriction=restriction,
-            objective=Objective.OPTIMALITY,
-            V=A @ Z,
-            rank_used=None,
-            minimality_certified=False,
-        )
-    # Res-CS: first r linearly independent rows of Z, greedily by index
-    chosen: list[int] = []
-    for j in range(d):
-        trial = chosen + [j]
-        if numeric_rank(Z[trial], tol) == len(trial):
-            chosen.append(j)
-        if len(chosen) == r:
-            break
-    if len(chosen) < r:  # pragma: no cover - Z has rank r by construction
-        raise InputError("could not select independent coordinates")
-    A = np.zeros((r, d))
-    A[np.arange(r), chosen] = 1.0
-    return ScoreDesign(
-        A=A,
-        restriction=Restriction.RES_CS,
-        objective=Objective.OPTIMALITY,
-        V=Z[chosen],
-        rank_used=None,
-        minimality_certified=False,
-    )
-
-
-def design_both(
-    space: MetricSpace,
-    restriction: Restriction,
-    tol: Tolerances = DEFAULT_TOL,
-    max_lineality_dim: int = DEFAULT_MAX_LINEALITY_DIM,
-) -> ScoreDesign:
-    """Design satisfying improvement and optimality simultaneously.
-
-    The witness cone must regenerate the hull cone exactly (monotone score),
-    so Res-L uses the generating rank here, not the cone rank.
-    """
-    kind = RankKind.CSR if restriction is Restriction.RES_CS else RankKind.CGR
-    return _improvement_design(
-        space, restriction, Objective.BOTH, kind, tol, max_lineality_dim
+        minimality_certified=rank is not None and space.relint_nonempty,
+        warnings=("degenerate metric space: affine hull is a point, k = 0",) if r == 0 else (),
     )
 
 

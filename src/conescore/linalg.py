@@ -57,7 +57,10 @@ class AffineHull:
 
     anchor: np.ndarray
     basis: np.ndarray
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[1]
 
 
 def as_matrix(entries, name: str) -> np.ndarray:
@@ -95,6 +98,21 @@ def _rank_of(s: np.ndarray, tol: Tolerances) -> int:
     """How many of the descending, nonempty singular values s count:
     those above rank_tol * max(1, s[0])."""
     return int(np.sum(s > tol.rank_tol * max(1.0, s[0])))
+
+
+def _unit_rows(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of G divided by their 2-norms (zero rows stay zero), and the
+    norms.
+
+    Each row is first scaled by the power of two that puts its max-norm in
+    [0.5, 1), so its squares cannot overflow.  The scaling is exact, so a
+    row whose squares did not overflow gets the same unit row and norm as
+    with np.linalg.norm on the row itself.
+    """
+    _, e = np.frexp(np.max(np.abs(G), axis=1, initial=0.0))
+    S = np.ldexp(G, -e[:, None])
+    n = np.linalg.norm(S, axis=1)
+    return S / np.where(n > 0, n, 1.0)[:, None], np.ldexp(n, e)
 
 
 def _fix_signs(B: np.ndarray) -> np.ndarray:
@@ -136,8 +154,7 @@ def compute_affine_hull(samples, tol: Tolerances = DEFAULT_TOL) -> AffineHull:
     if F.size == 0 or F.shape[0] == 0:
         raise InputError("no samples")
     anchor = F.mean(axis=0)
-    basis = orthonormal_basis(F - anchor, tol)
-    return AffineHull(anchor=anchor, basis=basis, dim=basis.shape[1])
+    return AffineHull(anchor=anchor, basis=orthonormal_basis(F - anchor, tol))
 
 
 def project_complement(W, Z) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotPointedError, ResourceCapError
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, orthonormal_basis
+from .linalg import DEFAULT_TOL, Tolerances, _unit_rows, as_matrix, orthonormal_basis
 
 if os.environ.get("CONESCORE_PURE"):
     from ._simplex_py import pivot_loop
@@ -154,11 +154,9 @@ def find_strict_separator(W, tol: Tolerances = DEFAULT_TOL) -> SeparatingHyperpl
     generator, with offset b = 1/2.  Raises NotPointedError when no separator
     exists (non-pointed cone).
     """
-    G = as_matrix(W, "generators")
-    norms = np.linalg.norm(G, axis=1)
+    U, norms = _unit_rows(as_matrix(W, "generators"))
     if np.any(norms <= tol.rank_tol):
         raise InputError("separator requires nonzero generators")
-    U = G / norms[:, None]
     B = orthonormal_basis(U, tol)  # n x r
     r = B.shape[1]
     m = U.shape[0]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cone import GeneratorSet, _in_cone, _membership_bound, decompose
 from .errors import InputError, ResourceCapError, VerificationError
-from .linalg import DEFAULT_TOL, Tolerances, numeric_rank, orthonormal_basis
+from .linalg import DEFAULT_TOL, Tolerances, _unit_rows, numeric_rank, orthonormal_basis
 from .lp import SeparatingHyperplane, find_strict_separator
 
 __all__ = [
@@ -49,24 +49,23 @@ class RankKind(Enum):
 class RankResult:
     """The generator set attaining a rank; the rank value is its size.
 
-    relation is "equal" when cone(witness) = K_W and "encloses" when only
-    K_W subset-of cone(witness) is guaranteed.  subset_indices names the rows
-    of W used by their input positions, in increasing order (subset ranks
-    only).
+    subset_indices names the rows of W used by their input positions, in
+    increasing order (subset ranks only).
     """
 
     kind: RankKind
     witness: GeneratorSet
     subset_indices: tuple[int, ...] | None
-    relation: str
-
-    def __post_init__(self) -> None:
-        if self.relation not in ("equal", "encloses"):
-            raise ValueError(f"unknown rank relation {self.relation!r}")
 
     @property
     def value(self) -> int:
         return self.witness.m
+
+    @property
+    def relation(self) -> str:
+        """How cone(witness) relates to K_W: "encloses" for CR (only K_W
+        subset-of cone(witness) is guaranteed), "equal" for CSR and CGR."""
+        return "encloses" if self.kind is RankKind.CR else "equal"
 
 
 def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
@@ -97,22 +96,24 @@ def csr_subspace(
     Enumerates subsets of size t+1 .. 2t (t = rank), smallest first then
     lexicographic, accepting the first full-rank subset U whose negated sum
     lies back in cone(U) — exactly the subsets that positively span span(W).
+    Raises ResourceCapError when t exceeds max_lineality_dim or when the
+    search has tried _MAX_SUBSETS subsets without an answer.
     """
     if W.m == 0:
-        return RankResult(RankKind.CSR, W, (), "equal")
+        return RankResult(RankKind.CSR, W, ())
     G = W.generators
     t = numeric_rank(G, tol)
-    if t > max_lineality_dim or math.comb(W.m, min(2 * t, W.m)) > _MAX_SUBSETS:
+    if t > max_lineality_dim:
         raise ResourceCapError("lineality dimension too large")
-    for size in range(t + 1, 2 * t + 1):
-        if size > W.m:
-            break
-        for subset in itertools.combinations(range(W.m), size):
-            U = G[list(subset)]
-            if numeric_rank(U, tol) != t:
-                continue
-            if _in_cone(-U.sum(axis=0), U, tol):
-                return RankResult(RankKind.CSR, GeneratorSet(U), tuple(subset), "equal")
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(W.m), size) for size in range(t + 1, min(2 * t, W.m) + 1)
+    )
+    for tried, subset in enumerate(subsets):
+        if tried == _MAX_SUBSETS:
+            raise ResourceCapError("lineality dimension too large")
+        U = G[list(subset)]
+        if numeric_rank(U, tol) == t and _in_cone(-U.sum(axis=0), U, tol):
+            return RankResult(RankKind.CSR, GeneratorSet(U), subset)
     raise InputError("generators do not positively span their span")
 
 
@@ -188,11 +189,10 @@ def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
     r = numeric_rank(G, tol)
     if r == 1:
         # the first row is the witness; its unit direction is the basis
-        norm = np.linalg.norm(G[0])
-        B, verts = G[:1].T / norm, np.array([[norm]])
+        U, norm = _unit_rows(G[:1])
+        B, verts = U.T, norm[:, None]
     else:
-        norms = np.linalg.norm(G, axis=1)
-        Un = G / norms[:, None]
+        Un, _ = _unit_rows(G)
         B = orthonormal_basis(Un, tol)  # n x r
         C = Un @ B  # m x r, unit rows, full-dimensional pointed cone
         hp = find_strict_separator(C, tol)
@@ -226,8 +226,8 @@ def cone_ranks(
     zs = dec.lineality_basis.T
     frame = np.vstack([-zs.sum(axis=0, keepdims=True), zs]) if dec.ell else zs
 
-    def framed(kind: RankKind, rows: np.ndarray, relation: str) -> RankResult:
-        return RankResult(kind, GeneratorSet(np.vstack([frame, rows])), None, relation)
+    def framed(kind: RankKind, rows: np.ndarray) -> RankResult:
+        return RankResult(kind, GeneratorSet(np.vstack([frame, rows])), None)
 
     ranks = {}
     if RankKind.CSR in kinds:
@@ -237,11 +237,11 @@ def cone_ranks(
     if RankKind.CSR in kinds:
         chosen = sorted([inside[i] for i in sub.subset_indices] + [outside[i] for i in extreme])
         witness = GeneratorSet(W.generators[chosen])
-        ranks[RankKind.CSR] = RankResult(RankKind.CSR, witness, tuple(chosen), "equal")
+        ranks[RankKind.CSR] = RankResult(RankKind.CSR, witness, tuple(chosen))
     if RankKind.CGR in kinds:
-        ranks[RankKind.CGR] = framed(RankKind.CGR, P.generators[extreme], "equal")
+        ranks[RankKind.CGR] = framed(RankKind.CGR, P.generators[extreme])
     if RankKind.CR in kinds:
-        ranks[RankKind.CR] = framed(RankKind.CR, _enclosing_rows(P, tol), "encloses")
+        ranks[RankKind.CR] = framed(RankKind.CR, _enclosing_rows(P, tol))
     return ranks
 
 

@@ -22,9 +22,7 @@ from conescore import (
     cone_rank,
     cone_subset_rank,
     decompose,
-    design_both,
-    design_improvement,
-    design_optimality,
+    design_score,
     is_in_cone,
     is_pointed,
     numeric_rank,
@@ -76,7 +74,7 @@ def test_criterion_01_square_plane_exactness(tmp_path):
     assert {k: v["value"] for k, v in res["ranks"].items()} == {"csr": 4, "cgr": 4, "cr": 3}
 
     space = MetricSpace.from_samples(load_fixture("square_cone_samples.json")["metrics_samples"])
-    ks = {res_: design_improvement(space, res_).k for res_ in Restriction}
+    ks = {res_: design_score(space, Objective.IMPROVEMENT, res_).k for res_ in Restriction}
     assert ks == {Restriction.RES_CS: 4, Restriction.RES_LM: 4, Restriction.RES_L: 3}
     assert time.monotonic() - t0 < 1.0
 
@@ -130,11 +128,11 @@ def test_criterion_06_design_oracle_round_trip():
             rng.standard_normal(d) + rng.standard_normal((n, r)) @ basis
         )
         for restriction in Restriction:
-            imp = design_improvement(space, restriction)
+            imp = design_score(space, Objective.IMPROVEMENT, restriction)
             assert check_improvement(imp, space.samples).passed, (trial, restriction)
-            opt = design_optimality(space, restriction)
+            opt = design_score(space, Objective.OPTIMALITY, restriction)
             assert check_optimality(opt, space.samples).passed, (trial, restriction)
-            both = design_both(space, restriction)
+            both = design_score(space, Objective.BOTH, restriction)
             assert check_improvement(both, space.samples).passed, (trial, restriction)
             assert check_optimality(both, space.samples).passed, (trial, restriction)
     assert time.monotonic() - t0 < 120.0

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from conescore import (
     InputError,
-    Restriction,
     Tolerances,
     compute_affine_hull,
     numeric_rank,
     orthonormal_basis,
     project_complement,
-    recover_A,
 )
 from conftest import TOL, fixture_generators, load_fixture
 
@@ -131,38 +129,17 @@ class TestProjectComplement:
             project_complement(np.ones((2, 3)), np.ones((2, 1)))
 
 
-class TestRecoverA:
-    def test_coordinate_selection_on_line(self):
-        Z = orthonormal_basis([[2.0, 1.0]])  # 2 x 1
-        A = recover_A(Z[0:1], Z, Restriction.RES_CS)
-        assert np.array_equal(A, [[1.0, 0.0]])
+def test_unit_rows_keep_the_bits_of_ordinary_rows(rng):
+    from conescore.linalg import _unit_rows
 
-    def test_identity_selection(self):
-        Z = np.eye(3)
-        A = recover_A(Z, Z, Restriction.RES_CS)
-        assert np.array_equal(A, np.eye(3))
-
-    def test_square_cone_paper_witness(self):
-        # the published triangular witness is one valid A, ours another;
-        # both must satisfy the A Z = V contract
-        V = np.array(load_fixture("triangular_witness.json")["generators"])
-        A_published = 0.25 * np.array(
-            [[3, 3, -1, -1], [3, -3, -1, 5], [-3, 3, 5, -1]], float
-        )
-        assert np.allclose(A_published @ SQUARE_Z, V)
-        A = recover_A(V, SQUARE_Z, Restriction.RES_L)
-        assert np.max(np.abs(A @ SQUARE_Z - V)) <= 10 * TOL.rank_tol
-
-    def test_min_norm_contract(self, rng):
-        Z = orthonormal_basis(rng.standard_normal((4, 6)))
-        V = rng.standard_normal((3, Z.shape[1]))
-        A = recover_A(V, Z, Restriction.RES_L)
-        assert np.max(np.abs(A @ Z - V)) <= 10 * TOL.rank_tol
-
-    def test_not_selectable(self):
-        Z = np.eye(2)
-        with pytest.raises(InputError, match="not coordinate-selectable"):
-            recover_A(np.array([[0.5, 0.5]]), Z, Restriction.RES_CS)
+    G = rng.standard_normal((200, 5)) * 10.0 ** rng.uniform(-6, 6, size=(200, 1))
+    norms = np.linalg.norm(G, axis=1)
+    U, n = _unit_rows(G)
+    assert np.array_equal(n, norms) and np.array_equal(U, G / norms[:, None])
+    # rows whose squares overflow, and a zero row, which stays zero
+    U, n = _unit_rows(np.array([[3e200, -4e200], [0.0, 0.0]]))
+    np.testing.assert_allclose(n, [5e200, 0.0], rtol=1e-15)
+    np.testing.assert_allclose(U, [[0.6, -0.8], [0.0, 0.0]], rtol=1e-15)
 
 
 def test_tolerances_validate():

@@ -102,6 +102,12 @@ class TestStrictSeparator:
         # strict separation margin guaranteed by the 1-vs-1/2 normalization
         assert np.min(b_i) - hp.offset >= 0.25 - TOL.feas_tol
 
+    def test_huge_rows(self):
+        # squaring these rows overflows; their unit rows are (+-1, 1)/sqrt(2)
+        hp = find_strict_separator([[1e200, 1e200], [-1e200, 1e200]])
+        U = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        assert np.all(U @ hp.normal >= 1.0 - TOL.feas_tol)
+
     def test_non_pointed_rejected(self):
         with pytest.raises(NotPointedError, match="no strict separator"):
             find_strict_separator([[2.0, 1.0], [-2.0, -1.0]])

@@ -105,6 +105,20 @@ class TestCsrSubspace:
         with pytest.raises(ResourceCapError, match="lineality dimension too large"):
             csr_subspace(GeneratorSet.from_rows(big))
 
+    def test_cap_counts_the_subsets_tried(self, monkeypatch):
+        # 30 Gaussian rows span R^6: C(30, 12) subsets could be enumerated,
+        # but the 1,011th one tried already positively spans
+        W = GeneratorSet.from_rows(np.random.default_rng(0).standard_normal((30, 6)))
+        ranks = cone_ranks(W)
+        assert [ranks[k].value for k in RankKind] == [7, 7, 7]
+        assert ranks[RankKind.CSR].subset_indices == (0, 1, 2, 3, 7, 19, 25)
+        monkeypatch.setattr("conescore.ranks._MAX_SUBSETS", 1011)
+        assert csr_subspace(W).subset_indices == (0, 1, 2, 3, 7, 19, 25)
+        for cap in (1010, 10):
+            monkeypatch.setattr("conescore.ranks._MAX_SUBSETS", cap)
+            with pytest.raises(ResourceCapError, match="lineality dimension too large"):
+                csr_subspace(W)
+
 
 class TestConeSubsetRank:
     def test_pointed_delegates(self):
@@ -344,6 +358,16 @@ class TestCrCertificate:
         res = cone_rank(GeneratorSet.from_rows(G))
         assert res.value == 1
         np.testing.assert_array_equal(res.witness.generators, G[:1])
+
+    @pytest.mark.parametrize("rows, value", [
+        (np.array([[1.0, 1.0], [-1.0, 1.0]]) * 1e155, 2),
+        (np.array([[1.0, 1.0], [-1.0, 1.0]]) * 1e200, 2),
+        ([[1e200, 1e200], [2e200, 2e200]], 1),
+    ])
+    def test_huge_rows_do_not_overflow(self, rows, value):
+        # their squares overflow, so the unit rows must not come from them
+        ranks = cone_ranks(GeneratorSet.from_rows(rows))
+        assert [ranks[k].value for k in RankKind] == [value] * 3
 
     def test_rows_below_cone_tol_count_as_zero(self):
         # decompose ignores the +-1e-9 rows; CR must not separate them
