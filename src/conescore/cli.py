@@ -151,10 +151,10 @@ def _write_result(out_path: str, command: str, payload: dict, tol: Tolerances,
     if not reproducible:
         doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     doc.update(payload)
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise InputError(f"cannot write {out_path}: {exc}") from None
 
@@ -298,10 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built once: parse_args leaves the parser as it was
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     """Load, run and write one command; a ConescoreError becomes one
     ``error:`` line on stderr and the exit code its class carries."""
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     run, csv_role = _COMMANDS[args.command]
     tol_overrides = {name: getattr(args, name) for name in ("rank_tol", "feas_tol", "cone_tol")}
     try:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, orthonormal_basis, project_complement
-from .lp import FeasibilityProblem, solve_feasibility
+from .lp import solve_feasibility
 
 __all__ = [
     "GeneratorSet",
@@ -29,16 +29,21 @@ class GeneratorSet:
 
     Every input row is kept, so row i is input row i; rows with
     max|w| <= cone_tol count as zero to ``decompose`` and to everything built
-    on it.  ``from_rows`` validates input from outside the package; code
-    inside it builds a GeneratorSet directly from an already validated matrix.
+    on it.  Every construction validates the rows through ``as_matrix`` (a
+    vector becomes one row), so a GeneratorSet always holds a finite 2-D
+    float array; ``from_rows`` also copies them.
     """
 
     generators: np.ndarray  # m x dim
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "generators", as_matrix(self.generators, "generators"))
+
     @classmethod
     def from_rows(cls, rows, dim: int | None = None) -> "GeneratorSet":
-        """Validate and copy the rows; dim is read only when there are none."""
-        G = as_matrix(rows, "generators")
+        """A set holding a copy of the rows; dim is read only when there are
+        none."""
+        G = cls(rows).generators
         if G.size == 0:
             if dim is None:
                 raise InputError("empty generator set needs an explicit dimension")
@@ -110,7 +115,7 @@ def _in_cone(x: np.ndarray, G: np.ndarray, tol: Tolerances) -> bool:
     """``is_in_cone`` for a point and generator rows already validated."""
     scale, bound = _membership_bound(x, tol)
     eff = Tolerances(tol.rank_tol, bound, tol.cone_tol)
-    return solve_feasibility(FeasibilityProblem(M=G, target=x / scale), eff).feasible
+    return solve_feasibility(G, x / scale, eff).feasible
 
 
 def _nonzero_rows(G: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -126,9 +131,7 @@ def _zero_combination(G: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     active = np.nonzero(_nonzero_rows(G, tol))[0]
     if active.size == 0:
         return None
-    res = solve_feasibility(
-        FeasibilityProblem(M=G[active], target=np.zeros(G.shape[1]), sum_to_one=True), tol
-    )
+    res = solve_feasibility(G[active], np.zeros(G.shape[1]), tol, sum_to_one=True)
     return active[res.witness > tol.feas_tol] if res.feasible else None
 
 

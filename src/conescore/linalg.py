@@ -3,6 +3,11 @@
 Input matrix validation, numerical rank, orthonormal bases, affine hulls and
 complement projections.  Everything here is a pure function over immutable
 values; arrays handed out are never mutated afterwards.
+
+``as_matrix`` is the one validation of outside input; the package's objects
+call it when they are built.  The helpers after it are internal: they take
+finite 2-D float arrays that have already passed through it (or are derived
+from ones that have) and check nothing themselves.
 """
 
 from __future__ import annotations
@@ -13,15 +18,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = [
-    "Tolerances",
-    "AffineHull",
-    "as_matrix",
-    "numeric_rank",
-    "orthonormal_basis",
-    "compute_affine_hull",
-    "project_complement",
-]
+__all__ = ["Tolerances", "AffineHull", "as_matrix"]
 
 
 @dataclass(frozen=True)
@@ -82,13 +79,13 @@ def as_matrix(entries, name: str) -> np.ndarray:
     return M
 
 
-def numeric_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above the rank threshold.
+def numeric_rank(M: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Number of singular values of the validated 2-D array M above the rank
+    threshold.
 
     The threshold is rank_tol scaled by max(1, largest singular value) so the
     count is stable under positive rescaling of well-conditioned input.
     """
-    M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
     return _rank_of(np.linalg.svd(M, compute_uv=False), tol)
@@ -126,50 +123,35 @@ def _fix_signs(B: np.ndarray) -> np.ndarray:
     return B
 
 
-def orthonormal_basis(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns of a d x r matrix) of span(vectors).
+def orthonormal_basis(V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (as columns of a d x r matrix) of the span of the
+    rows of the validated m x d array V.
 
     Returns a d x 0 matrix for all-zero or empty input.  Deterministic: SVD
     plus a fixed sign convention.
     """
-    V = np.asarray(vectors, dtype=float)
-    if V.ndim == 1:
-        V = V.reshape(1, -1)
     if V.size == 0:
-        d = V.shape[1] if V.ndim == 2 else 0
-        return np.zeros((d, 0))
+        return np.zeros((V.shape[1], 0))
     _, s, vh = np.linalg.svd(V, full_matrices=False)
     return _fix_signs(vh[:_rank_of(s, tol)].T)
 
 
-def compute_affine_hull(samples, tol: Tolerances = DEFAULT_TOL) -> AffineHull:
-    """Affine hull of the samples, anchored at their centroid.
+def compute_affine_hull(F: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> AffineHull:
+    """Affine hull of the rows of the validated, nonempty 2-D array F,
+    anchored at their centroid.
 
     The hull is invariant to the anchor choice; the centroid makes the result
     independent of sample order.
     """
-    F = np.asarray(samples, dtype=float)
-    if F.ndim == 1:
-        F = F.reshape(1, -1)
-    if F.size == 0 or F.shape[0] == 0:
-        raise InputError("no samples")
     anchor = F.mean(axis=0)
     return AffineHull(anchor=anchor, basis=orthonormal_basis(F - anchor, tol))
 
 
-def project_complement(W, Z) -> np.ndarray:
+def project_complement(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Project the rows of W onto the orthogonal complement of span(Z).
 
-    Computes W (I - Z Z^T); Z must have orthonormal columns.
+    Computes W (I - Z Z^T), as a new array, for an m x d array W and a d x ell
+    array Z with orthonormal columns.  At ell = 0 the product is zero, so
+    the result is W, bit for bit.
     """
-    W = np.asarray(W, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if W.ndim == 1:
-        W = W.reshape(1, -1)
-    if W.shape[1] != Z.shape[0]:
-        raise InputError(
-            f"dimension mismatch: W has {W.shape[1]} cols, Z has {Z.shape[0]} rows"
-        )
-    if Z.shape[1] == 0:
-        return W.copy()
     return W - (W @ Z) @ Z.T

@@ -6,6 +6,10 @@ the hot kernel: the compiled extension built from ``_simplex.c`` is
 preferred, with the vectorized numpy ``_simplex_py`` selected at import when
 it is absent (or forced via CONESCORE_PURE=1).  Both run the same operations
 in the same order, so their tableaux, and every result, are bit-identical.
+
+Only ``kernel_name`` is public.  The solvers are internal: their callers in
+the package pass finite float arrays of matching shapes, which the solvers
+neither coerce nor check.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NotPointedError, ResourceCapError
-from .linalg import DEFAULT_TOL, Tolerances, _unit_rows, as_matrix, orthonormal_basis
+from .linalg import DEFAULT_TOL, Tolerances, _unit_rows, orthonormal_basis
 
 if os.environ.get("CONESCORE_PURE"):
     from ._simplex_py import pivot_loop
@@ -32,14 +36,7 @@ else:
 
         _KERNEL = "python"
 
-__all__ = [
-    "FeasibilityProblem",
-    "FeasibilityResult",
-    "SeparatingHyperplane",
-    "solve_feasibility",
-    "find_strict_separator",
-    "kernel_name",
-]
+__all__ = ["kernel_name"]
 
 # pivot epsilons are fixed; user tolerances only affect the feasibility verdict
 _PIVOT_EPS = 1e-11
@@ -48,16 +45,6 @@ _PIVOT_EPS = 1e-11
 def kernel_name() -> str:
     """Which pivot kernel is active: 'compiled' or 'python'."""
     return _KERNEL
-
-
-@dataclass(frozen=True)
-class FeasibilityProblem:
-    """Find a row vector lam >= 0 with lam @ M = target, optionally with
-    sum(lam) = 1."""
-
-    M: np.ndarray
-    target: np.ndarray
-    sum_to_one: bool = False
 
 
 @dataclass(frozen=True)
@@ -124,37 +111,32 @@ def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     return feasible, x
 
 
-def solve_feasibility(p: FeasibilityProblem, tol: Tolerances = DEFAULT_TOL) -> FeasibilityResult:
-    """Decide feasibility of the problem and return a witness when feasible.
+def solve_feasibility(M: np.ndarray, target: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+                      sum_to_one: bool = False) -> FeasibilityResult:
+    """Decide whether some row vector lam >= 0 has lam @ M = target (and
+    sum(lam) = 1 with sum_to_one), with a witness when it does.
 
-    Deterministic (fixed Bland pivot rule).
+    M is an m x n array and target a vector of length n.  Deterministic
+    (fixed Bland pivot rule).
     """
-    M = np.asarray(p.M, dtype=float)
-    c = np.asarray(p.target, dtype=float).ravel()
-    if M.ndim != 2:
-        raise InputError("M must be 2-D")
-    m, n = M.shape
-    if c.shape[0] != n:
-        raise InputError(f"target has dim {c.shape[0]}, expected {n}")
-
-    A, b = M.T, c
-    if p.sum_to_one:
-        A = np.vstack([A, np.ones(m)])
-        b = np.concatenate([c, [1.0]])
+    A, b = M.T, target
+    if sum_to_one:
+        A = np.vstack([A, np.ones(M.shape[0])])
+        b = np.append(target, 1.0)
 
     feasible, lam = phase1(A, b, tol)
     return FeasibilityResult(feasible, lam if feasible else None)
 
 
-def find_strict_separator(W, tol: Tolerances = DEFAULT_TOL) -> SeparatingHyperplane:
+def find_strict_separator(W: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SeparatingHyperplane:
     """Hyperplane in span(W) strictly separating the origin from cone(W).
 
-    W is a finite matrix of generator rows.  Generators are scaled to unit
+    W is an m x n array of generator rows.  Generators are scaled to unit
     length first; the returned normal w satisfies w . w_i >= 1 for every unit
     generator, with offset b = 1/2.  Raises NotPointedError when no separator
     exists (non-pointed cone).
     """
-    U, norms = _unit_rows(as_matrix(W, "generators"))
+    U, norms = _unit_rows(W)
     if np.any(norms <= tol.rank_tol):
         raise InputError("separator requires nonzero generators")
     B = orthonormal_basis(U, tol)  # n x r
@@ -164,7 +146,7 @@ def find_strict_separator(W, tol: Tolerances = DEFAULT_TOL) -> SeparatingHyperpl
 
     # variables (y+, y-, s) >= 0 with C y - s = 1
     M_sep = np.vstack([C.T, -C.T, -np.eye(m)])
-    res = solve_feasibility(FeasibilityProblem(M=M_sep, target=np.ones(m)), tol)
+    res = solve_feasibility(M_sep, np.ones(m), tol)
     if not res.feasible:
         raise NotPointedError("no strict separator exists")
     lam = res.witness

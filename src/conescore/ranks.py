@@ -27,10 +27,8 @@ from .lp import SeparatingHyperplane, find_strict_separator
 __all__ = [
     "RankKind",
     "RankResult",
-    "csr_subspace",
     "cone_subset_rank",
     "cone_generating_rank",
-    "enclosing_simplex",
     "cone_rank",
     "cone_ranks",
 ]
@@ -118,27 +116,21 @@ def csr_subspace(
 
 
 def enclosing_simplex(
-    U, hyperplane: SeparatingHyperplane, tol: Tolerances = DEFAULT_TOL
+    U: np.ndarray, hyperplane: SeparatingHyperplane, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
     """Vertices of a regular simplex on the hyperplane containing all of U.
 
-    With r = dim of the hyperplane's ambient span, returns r vertices of a
-    regular (r-1)-simplex with incenter at the mean of U and inradius
-    max-distance * (1 + cone_tol), which contains every point of U (at
-    r = 1, the mean of U, the one point of the hyperplane).  No LP is solved
-    here: the caller certifies the witness it lifts from them.
+    U is a nonempty 2-D array of points that lie on the hyperplane, which is
+    the caller's to establish.  With r = dim of the hyperplane's ambient
+    span, returns r vertices of a regular (r-1)-simplex with incenter at the
+    mean of U and inradius max-distance * (1 + cone_tol), which contains
+    every point of U (at r = 1, the mean of U, the one point of the
+    hyperplane).  No LP is solved and nothing is checked here: the caller
+    certifies the witness it lifts from them.
     """
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 1:
-        U = U.reshape(1, -1)
     B = hyperplane.ambient_basis
     w = hyperplane.normal
-    b = hyperplane.offset
     r = B.shape[1]
-    for u in U:
-        if abs(float(w @ u) - b) > tol.cone_tol * (1.0 + abs(b)):
-            raise InputError("point not on the hyperplane")
-
     ubar = U.mean(axis=0)
     R = float(np.max(np.linalg.norm(U - ubar, axis=1), initial=0.0))
     rho = R * (1.0 + tol.cone_tol) if R > tol.rank_tol else 1.0

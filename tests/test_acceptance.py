@@ -25,10 +25,9 @@ from conescore import (
     design_score,
     is_in_cone,
     is_pointed,
-    numeric_rank,
-    project_complement,
 )
 from conescore.cli import main
+from conescore.linalg import numeric_rank, project_complement
 from conftest import (
     TOL,
     fixture_generators,

@@ -9,8 +9,6 @@ PUBLIC = [
     "AffineHull",
     "ConeDecomposition",
     "ConescoreError",
-    "FeasibilityProblem",
-    "FeasibilityResult",
     "GeneratorSet",
     "InputError",
     "MetricSpace",
@@ -21,7 +19,6 @@ PUBLIC = [
     "ResourceCapError",
     "Restriction",
     "ScoreDesign",
-    "SeparatingHyperplane",
     "Tolerances",
     "VerificationError",
     "VerificationReport",
@@ -30,25 +27,33 @@ PUBLIC = [
     "check_improvement",
     "check_optimality",
     "check_restriction",
-    "compute_affine_hull",
     "cone_generating_rank",
     "cone_rank",
     "cone_ranks",
     "cone_subset_rank",
-    "csr_subspace",
     "decompose",
     "design_score",
-    "enclosing_simplex",
-    "find_strict_separator",
     "is_in_cone",
     "is_pointed",
     "kernel_name",
-    "numeric_rank",
-    "orthonormal_basis",
     "pareto_front",
-    "project_complement",
-    "solve_feasibility",
 ]
+
+# internal helpers: attributes of their modules only.  Their names have no
+# leading underscore, because perfbench/tracer.py times exactly the
+# module-level functions named so
+INTERNAL = {
+    "FeasibilityResult": "lp",
+    "SeparatingHyperplane": "lp",
+    "solve_feasibility": "lp",
+    "find_strict_separator": "lp",
+    "compute_affine_hull": "linalg",
+    "numeric_rank": "linalg",
+    "orthonormal_basis": "linalg",
+    "project_complement": "linalg",
+    "csr_subspace": "ranks",
+    "enclosing_simplex": "ranks",
+}
 
 # attributes of the package, but not in __all__
 SUBMODULES = ["linalg", "lp", "cone", "ranks", "design", "verify", "cli"]
@@ -63,3 +68,13 @@ def test_submodules_are_not_shadowed():
     # package attribute, and `import conescore.design as m` would give it
     for name in SUBMODULES:
         assert getattr(conescore, name) is sys.modules[f"conescore.{name}"], name
+
+
+def test_internal_helpers_stay_internal():
+    for name, module in INTERNAL.items():
+        assert not hasattr(conescore, name), name
+        mod = sys.modules[f"conescore.{module}"]
+        assert name in vars(mod) and name not in mod.__all__, name
+    # solve_feasibility takes M and target directly
+    assert not hasattr(conescore, "FeasibilityProblem")
+    assert not hasattr(conescore.lp, "FeasibilityProblem")

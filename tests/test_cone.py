@@ -18,9 +18,8 @@ from conescore import (
     decompose,
     is_in_cone,
     is_pointed,
-    orthonormal_basis,
-    project_complement,
 )
+from conescore.linalg import orthonormal_basis, project_complement
 from conftest import TOL, fixture_generators, random_cone_rows, random_rotation
 
 
@@ -46,6 +45,15 @@ class TestGeneratorSet:
             GeneratorSet.from_rows(np.ones((2, 2, 3)))
         with pytest.raises(InputError, match="finite"):
             GeneratorSet.from_rows([[1.0, np.nan]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_generator_is_an_input_error(self, bad):
+        # the constructor itself validates, so no set of generators, however
+        # built, reaches decompose or the ranks with a non-finite entry
+        rows = np.array([[bad, 1.0], [1.0, 0.0]])
+        for build in (GeneratorSet, GeneratorSet.from_rows):
+            with pytest.raises(InputError, match="generators: entries must be finite"):
+                build(rows)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_index_tuples_do_not_grow_peak_rss(self):

@@ -229,16 +229,15 @@ def test_bad_buffers_raise(compiled, make):
 
 
 def test_solver_results_match_kernels(rng, monkeypatch, compiled):
-    from conescore import FeasibilityProblem, lp
+    from conescore import lp
 
     for _ in range(15):
         M = rng.standard_normal((6, 4))
         c = rng.standard_normal(4)
-        prob = FeasibilityProblem(M=M, target=c)
         monkeypatch.setattr(lp, "pivot_loop", compiled.pivot_loop)
-        a = lp.solve_feasibility(prob)
+        a = lp.solve_feasibility(M, c)
         monkeypatch.setattr(lp, "pivot_loop", _simplex_py.pivot_loop)
-        b = lp.solve_feasibility(prob)
+        b = lp.solve_feasibility(M, c)
         assert a.feasible == b.feasible
         if a.feasible:
             assert np.array_equal(a.witness, b.witness)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conescore import (
-    InputError,
-    Tolerances,
+from conescore import InputError, MetricSpace, Tolerances
+from conescore.linalg import (
     compute_affine_hull,
     numeric_rank,
     orthonormal_basis,
@@ -41,7 +40,7 @@ class TestNumericRank:
 
 class TestOrthonormalBasis:
     def test_collinear_pair(self):
-        B = orthonormal_basis([[2.0, 1.0], [4.0, 2.0]])
+        B = orthonormal_basis(np.array([[2.0, 1.0], [4.0, 2.0]]))
         assert B.shape == (2, 1)
         assert np.allclose(B[:, 0], np.array([2.0, 1.0]) / np.sqrt(5))
 
@@ -73,12 +72,12 @@ class TestOrthonormalBasis:
 
 class TestAffineHull:
     def test_correlated_line(self):
-        hull = compute_affine_hull([[-1, 0], [1, 1], [0, 0.5]])
+        hull = compute_affine_hull(np.array([[-1.0, 0.0], [1.0, 1.0], [0.0, 0.5]]))
         assert hull.dim == 1
         assert np.allclose(np.abs(hull.basis[:, 0]), np.array([2, 1]) / np.sqrt(5))
 
     def test_single_point(self):
-        hull = compute_affine_hull([[3.0, 4.0]])
+        hull = compute_affine_hull(np.array([[3.0, 4.0]]))
         assert hull.dim == 0
         assert hull.basis.shape == (2, 0)
 
@@ -104,29 +103,34 @@ class TestAffineHull:
         assert np.max(np.abs(resid)) <= 10 * TOL.rank_tol
 
     def test_empty_errors(self):
-        with pytest.raises(InputError, match="no samples"):
-            compute_affine_hull(np.zeros((0, 2)))
+        # a hull needs a sample; the space built from outside input refuses none
+        with pytest.raises(InputError, match="samples must be nonempty"):
+            MetricSpace.from_samples(np.zeros((0, 2)))
 
 
 class TestProjectComplement:
     def test_off_e1(self):
-        out = project_complement([[1.0, 1.0]], np.array([[1.0], [0.0]]))
+        out = project_complement(np.array([[1.0, 1.0]]), np.array([[1.0], [0.0]]))
         assert np.allclose(out, [[0.0, 1.0]])
 
     def test_row_inside_span(self):
-        Z = orthonormal_basis([[2.0, 1.0]])
-        assert np.allclose(project_complement([[4.0, 2.0]], Z), 0.0)
+        Z = orthonormal_basis(np.array([[2.0, 1.0]]))
+        assert np.allclose(project_complement(np.array([[4.0, 2.0]]), Z), 0.0)
 
     def test_halfspace_rows(self):
-        Z = orthonormal_basis([[2.0, 1.0]])
-        out = project_complement([[1.0, 2.0], [-2.0, 2.0]], Z)
+        Z = orthonormal_basis(np.array([[2.0, 1.0]]))
+        out = project_complement(np.array([[1.0, 2.0], [-2.0, 2.0]]), Z)
         # both land on the direction (-1, 2), orthogonal to (2, 1)
         assert np.allclose(out @ np.array([2.0, 1.0]), 0.0)
         assert np.allclose(out[0] / out[0][1], out[1] / out[1][1])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            project_complement(np.ones((2, 3)), np.ones((2, 1)))
+    def test_empty_basis_keeps_the_bits(self, rng):
+        # with no basis columns the product is zero: W itself, -0.0 included,
+        # as a new array
+        W = np.vstack([rng.standard_normal((3, 4)), [-0.0, 0.0, -0.0, 1.0]])
+        out = project_complement(W, np.zeros((4, 0)))
+        assert out is not W
+        assert np.array_equal(out, W) and np.array_equal(np.signbit(out), np.signbit(W))
 
 
 def test_unit_rows_keep_the_bits_of_ordinary_rows(rng):

@@ -17,15 +17,13 @@ from conescore import (
     cone_rank,
     cone_ranks,
     cone_subset_rank,
-    csr_subspace,
     decompose,
-    enclosing_simplex,
-    find_strict_separator,
     is_in_cone,
     is_pointed,
-    numeric_rank,
-    orthonormal_basis,
 )
+from conescore.linalg import numeric_rank, orthonormal_basis
+from conescore.lp import find_strict_separator, solve_feasibility
+from conescore.ranks import csr_subspace, enclosing_simplex
 from conftest import (
     TOL,
     fixture_generators,
@@ -217,13 +215,13 @@ class TestEnclosingSimplex:
     def test_rank_one_is_the_point_itself(self):
         # at r = 1 the hyperplane meets span(W) in one point, which is the
         # whole simplex: its mean, with nothing degenerate along the way
-        hp = find_strict_separator([[2.0, 1.0, 0.0]])
+        hp = find_strict_separator(np.array([[2.0, 1.0, 0.0]]))
         u = np.array([2.0, 1.0, 0.0]) / np.sqrt(5.0)
-        point = (hp.offset / (hp.normal @ u)) * u
+        point = ((hp.offset / (hp.normal @ u)) * u).reshape(1, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             verts = enclosing_simplex(point, hp)
-        np.testing.assert_array_equal(verts, point.reshape(1, -1))
+        np.testing.assert_array_equal(verts, point)
 
     def test_square_points_get_triangle(self):
         W = fixture_generators("square_cone_generators.json")
@@ -234,8 +232,6 @@ class TestEnclosingSimplex:
         assert verts.shape == (3, 3)
 
     def test_random_plane_points(self, rng):
-        from conescore import FeasibilityProblem, solve_feasibility
-
         hp = self._hyperplane(rng, 4, 3)
         w = hp.normal
         x0 = hp.offset * w / (w @ w)
@@ -243,9 +239,7 @@ class TestEnclosingSimplex:
         pts = x0 + rng.standard_normal((20, H.shape[1])) @ H.T
         verts = enclosing_simplex(pts, hp)
         for u in pts:
-            res = solve_feasibility(
-                FeasibilityProblem(M=verts, target=u, sum_to_one=True)
-            )
+            res = solve_feasibility(verts, u, sum_to_one=True)
             assert res.feasible
 
 

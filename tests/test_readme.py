@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conescore import numeric_rank
+from conescore.linalg import numeric_rank
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

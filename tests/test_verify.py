@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conescore import (
-    FeasibilityProblem,
     GeneratorSet,
     InputError,
     MetricSpace,
@@ -19,9 +18,9 @@ from conescore import (
     cone_generating_rank,
     design_score,
     pareto_front,
-    solve_feasibility,
 )
 from conescore.design import _BLOCK_CELLS
+from conescore.lp import solve_feasibility
 from conftest import TOL, fixture_generators, l1_ball_samples, linf_grid, load_fixture
 
 
@@ -131,7 +130,7 @@ class TestCheckRestriction:
         # the hull, f = anchor + Z y >= anchor, whose first score decreases
         M = np.vstack([np.c_[Z.T, design.V[0]], -np.c_[Z.T, design.V[0]],
                        np.c_[-np.eye(5), np.zeros(5)]])
-        res = solve_feasibility(FeasibilityProblem(M=M, target=np.r_[np.zeros(5), -1.0]))
+        res = solve_feasibility(M, np.r_[np.zeros(5), -1.0])
         assert res.feasible
         y = res.witness[:3] - res.witness[3:6]
         assert np.all(Z @ y >= -1e-9) and A[0] @ (Z @ y) < -0.5
