@@ -198,9 +198,14 @@ def _rank(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], in
     payload: dict = {"ranks": ranks, "m": m}
     if kind == "all":
         r = numeric_rank(W.generators[nonzero], tol)
-        chain = m >= ranks["csr"]["value"] >= ranks["cgr"]["value"] >= ranks["cr"]["value"] >= r
+        chain = (m, ranks["csr"]["value"], ranks["cgr"]["value"], ranks["cr"]["value"], r)
+        # a theorem, so a break means a rank is wrong
+        if any(a < b for a, b in zip(chain, chain[1:])):
+            raise VerificationError(
+                "rank chain m >= CSR >= CGR >= CR >= rank fails: "
+                + " >= ".join(map(str, chain)))
         payload["numeric_rank"] = r
-        payload["chain_ok"] = bool(chain)
+        payload["chain_ok"] = True
     return payload, warnings, 0
 
 

@@ -173,33 +173,59 @@ def design_score(
 # rows against all N rows stays small whatever N is
 _BLOCK_CELLS = 1 << 14
 
+# a block in which more than 1/_DENSE of the pairs pass the >= order tests
+# its second condition on every cell: gathering that many pairs costs more
+_DENSE = 8
 
-def _tolerant_order(S: np.ndarray, eps: float, rows=None, ahead: bool = True):
-    """Yield (idx, geq, ahead) for blocks of candidate rows of S.
 
-    For candidate row i = idx[a] and every row j of S,
-    geq[a, j] = all(S[j] >= S[i] - eps) and ahead[a, j] = any(S[j] > S[i] + eps);
-    with ahead=False only geq is built and None takes ahead's place.
-    Candidates are all rows, or the row indices in rows, in order.  The
-    matrices are built one coordinate at a time, so no block allocates more
-    than about _BLOCK_CELLS cells per matrix.
+def _order_blocks(S: np.ndarray, eps: float, second, rows=None):
+    """Yield (idx, mask) for blocks of candidate rows of S.
+
+    For candidate row i = idx[a] and every row j of S, mask[a, j] =
+    all(S[j] >= S[i] - eps) and second(i, j); second takes index arrays that
+    broadcast and returns a boolean array of their shape, false where j = i
+    (as _ahead and _behind are).  Candidates are all rows, or the row indices
+    in rows, in order.  The >= test is built one coordinate at a time, and
+    second runs only on the pairs that pass it, unless more than 1/_DENSE of
+    the block's pairs do, when it runs on the whole block; so no block
+    allocates more than about _BLOCK_CELLS cells.
     """
     n, d = S.shape
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
     cols = np.ascontiguousarray(S.T)
+    every = np.arange(n)
     step = max(1, _BLOCK_CELLS // max(n, 1))
     for start in range(0, rows.size, step):
         idx = rows[start:start + step]
-        R = S[idx]
-        lo = R - eps
-        hi = R + eps
-        geq = np.ones((idx.size, n), dtype=bool)
-        lead = np.zeros((idx.size, n), dtype=bool) if ahead else None
+        lo = S[idx] - eps
+        mask = np.ones((idx.size, n), dtype=bool)
         for c in range(d):
-            geq &= cols[c] >= lo[:, c, None]
-            if ahead:
-                lead |= cols[c] > hi[:, c, None]
-        yield idx, geq, lead
+            mask &= cols[c] >= lo[:, c, None]
+        if np.count_nonzero(mask) * _DENSE > mask.size:
+            mask &= second(idx[:, None], every)
+        else:
+            flat = np.flatnonzero(mask)
+            a, j = np.divmod(flat, n)
+            mask.flat[flat[~second(idx[a], j)]] = False
+        yield idx, mask
+
+
+def _ahead(cols: np.ndarray, i: np.ndarray, j: np.ndarray, eps: float) -> np.ndarray:
+    """any(S[j] > S[i] + eps) for index arrays i and j that broadcast, from
+    the columns of S."""
+    ahead = np.zeros(np.broadcast(i, j).shape, dtype=bool)
+    for col in cols:
+        ahead |= col[j] > col[i] + eps
+    return ahead
+
+
+def _behind(cols: np.ndarray, i: np.ndarray, j: np.ndarray, eps: float) -> np.ndarray:
+    """any(S[j] < S[i] - eps), the negation of all(S[j] >= S[i] - eps), for
+    index arrays i and j that broadcast, from the columns of S."""
+    behind = np.zeros(np.broadcast(i, j).shape, dtype=bool)
+    for col in cols:
+        behind |= col[j] < col[i] - eps
+    return behind
 
 
 def pareto_front(points, score=None, tol: Tolerances = DEFAULT_TOL) -> list[int]:
@@ -208,7 +234,10 @@ def pareto_front(points, score=None, tol: Tolerances = DEFAULT_TOL) -> list[int]
     j dominates i when score(f_j) >= score(f_i) - cone_tol componentwise with
     at least one coordinate ahead by more than cone_tol.  Without a score the
     raw metric order is used; a score is a k x d matrix, and a vector is one
-    score row.  O(N^2 d) time in bounded-memory row blocks.
+    score row.  Time is one O(N^2 k) scan of the >= order over the k score
+    coordinates plus the ahead test: O(k) per pair that passes the scan, or
+    O(k) per cell in a block of rows where more than an eighth do.  Memory is
+    one block of rows (about 16K cells) and the pairs that pass in it.
     """
     F = as_matrix(points, "points")
     if F.shape[0] == 0:
@@ -219,7 +248,9 @@ def pareto_front(points, score=None, tol: Tolerances = DEFAULT_TOL) -> list[int]
         if A.shape[1] != F.shape[1]:
             raise InputError(f"score has {A.shape[1]} columns, points have dim {F.shape[1]}")
         S = F @ A.T
+    cols = np.ascontiguousarray(S.T)
+    eps = tol.cone_tol
     front = []
-    for idx, geq, ahead in _tolerant_order(S, tol.cone_tol):
-        front.extend(idx[~np.any(geq & ahead, axis=1)].tolist())
+    for idx, dominated in _order_blocks(S, eps, lambda i, j: _ahead(cols, i, j, eps)):
+        front.extend(idx[~dominated.any(axis=1)].tolist())
     return front

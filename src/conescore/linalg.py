@@ -97,17 +97,25 @@ def _rank_of(s: np.ndarray, tol: Tolerances) -> int:
     return int(np.sum(s > tol.rank_tol * max(1.0, s[0])))
 
 
+def _pow2_rows(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G with each row scaled by the power of two that puts its max-norm in
+    [0.5, 1) (zero rows stay zero), and the exponents e that undo it:
+    G = ldexp(result, e[:, None]).  The scaling is exact, so arithmetic on
+    the scaled rows rounds as on the rows themselves, short of overflow.
+    """
+    _, e = np.frexp(np.max(np.abs(G), axis=1, initial=0.0))
+    return np.ldexp(G, -e[:, None]), e
+
+
 def _unit_rows(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of G divided by their 2-norms (zero rows stay zero), and the
     norms.
 
-    Each row is first scaled by the power of two that puts its max-norm in
-    [0.5, 1), so its squares cannot overflow.  The scaling is exact, so a
-    row whose squares did not overflow gets the same unit row and norm as
-    with np.linalg.norm on the row itself.
+    Each row is first scaled by _pow2_rows, so its squares cannot overflow,
+    and a row whose squares did not overflow gets the same unit row and norm
+    as with np.linalg.norm on the row itself.
     """
-    _, e = np.frexp(np.max(np.abs(G), axis=1, initial=0.0))
-    S = np.ldexp(G, -e[:, None])
+    S, e = _pow2_rows(G)
     n = np.linalg.norm(S, axis=1)
     return S / np.where(n > 0, n, 1.0)[:, None], np.ldexp(n, e)
 

@@ -21,7 +21,14 @@ import numpy as np
 
 from .cone import GeneratorSet, _in_cone, _membership_bound, decompose
 from .errors import InputError, ResourceCapError, VerificationError
-from .linalg import DEFAULT_TOL, Tolerances, _unit_rows, numeric_rank, orthonormal_basis
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerances,
+    _pow2_rows,
+    _unit_rows,
+    numeric_rank,
+    orthonormal_basis,
+)
 from .lp import SeparatingHyperplane, find_strict_separator
 
 __all__ = [
@@ -156,10 +163,13 @@ def _simplicial_members(G: np.ndarray, B: np.ndarray, verts: np.ndarray,
     gives every generator's coefficients.  Negative coefficients are clipped
     and a row is accepted when its l1 residual, relative to its scale, is
     within is_in_cone's own bound: a row accepted here has a nonnegative
-    combination that the LP would accept too.
+    combination that the LP would accept too.  Each row is solved scaled by
+    _pow2_rows and its residual scaled back, so rows near the float maximum
+    cannot overflow and other rows get the residual of the unscaled solve.
     """
-    lam = np.maximum(np.linalg.solve(verts.T, (G @ B).T).T, 0.0)
-    resid = np.abs(lam @ (verts @ B.T) - G).sum(axis=1)
+    Gs, e = _pow2_rows(G)
+    lam = np.maximum(np.linalg.solve(verts.T, (Gs @ B).T).T, 0.0)
+    resid = np.ldexp(np.abs(lam @ (verts @ B.T) - Gs).sum(axis=1), e)
     scale, bound = _membership_bound(G, tol)
     return resid / scale <= bound
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import GeneratorSet, is_in_cone
-from .design import Restriction, ScoreDesign, _tolerant_order, pareto_front
+from .design import Restriction, ScoreDesign, _ahead, _behind, _order_blocks, pareto_front
 from .errors import InputError
 from .linalg import AffineHull, DEFAULT_TOL, Tolerances, as_matrix
 
@@ -69,12 +69,9 @@ def check_improvement(
     eps = tol.cone_tol
     n = F.shape[0]
     violations = []
-    # S and F have the same rows, so the two scans yield the same blocks
-    blocks = zip(_tolerant_order(S, eps, ahead=False), _tolerant_order(F, eps, ahead=False))
-    for (idx, score_geq, _), (_, metric_geq, _) in blocks:
-        bad = score_geq & ~metric_geq  # A f_j >= A f_i but not f_j >= f_i
-        bad[np.arange(idx.size), idx] = False
-        a, j = np.nonzero(bad)  # row-major, so sorted by (i, j)
+    # A f_j >= A f_i but not f_j >= f_i
+    for idx, bad in _order_blocks(S, eps, lambda i, j: _behind(cols, i, j, eps)):
+        a, j = np.divmod(np.flatnonzero(bad), n)  # sorted by (i, j)
         if a.size:
             rows = idx.tolist()  # one int object per row, shared by its pairs
             pairs = zip(map(rows.__getitem__, a.tolist()), j.tolist())
@@ -97,9 +94,11 @@ def check_optimality(
     F = _samples(design, samples)
     front_s = pareto_front(F, design.A, tol)
     cols = np.ascontiguousarray(F.T)
+    eps = tol.cone_tol
+    n = F.shape[0]
     violations = []
-    for idx, geq, ahead in _tolerant_order(F, tol.cone_tol, front_s):
-        a, j = np.nonzero(geq & ahead)
+    for idx, dominated in _order_blocks(F, eps, lambda i, j: _ahead(cols, i, j, eps), front_s):
+        a, j = np.divmod(np.flatnonzero(dominated), n)
         if a.size:
             rows, starts = np.unique(a, return_index=True)
             lead = np.maximum.reduceat(_lead(cols, j, idx[a]), starts)

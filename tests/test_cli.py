@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conescore import RankKind
 from conescore.cli import main
 from conescore.fixtures import fixture_path
 from conftest import linf_grid, load_fixture
@@ -203,6 +204,34 @@ class TestRank:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_broken_chain_exits_4(self, tmp_path, capsys, monkeypatch):
+        import conescore.cli
+
+        real = conescore.cli.cone_ranks
+
+        def swapped(*args, **kwargs):  # CGR 4 and CR 3 reported as 3 and 4
+            ranks = real(*args, **kwargs)
+            ranks[RankKind.CGR], ranks[RankKind.CR] = ranks[RankKind.CR], ranks[RankKind.CGR]
+            return ranks
+
+        monkeypatch.setattr(conescore.cli, "cone_ranks", swapped)
+        code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"))
+        assert code == 4
+        assert res is None
+        assert capsys.readouterr().err == (
+            "error: rank chain m >= CSR >= CGR >= CR >= rank fails: 4 >= 4 >= 3 >= 4 >= 3\n")
+
+    def test_overflowing_square_cone_exits_4(self, tmp_path, capsys):
+        # at max|g| = 1.7e308 phase 1 overflows and CSR = CGR = 2 come out
+        # below CR = 3; until the LP rows are scaled first, the chain must
+        # refuse them
+        gens = np.sign(load_fixture("square_cone_generators.json")["generators"]) * 1.7e308
+        with pytest.warns(RuntimeWarning):
+            code, res = run(tmp_path, "rank", {"generators": gens.tolist()})
+        assert code == 4
+        assert res is None
+        assert "rank chain" in capsys.readouterr().err
 
     def test_square_cone_all(self, tmp_path):
         code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"))

@@ -357,9 +357,11 @@ class TestCrCertificate:
         (np.array([[1.0, 1.0], [-1.0, 1.0]]) * 1e155, 2),
         (np.array([[1.0, 1.0], [-1.0, 1.0]]) * 1e200, 2),
         ([[1e200, 1e200], [2e200, 2e200]], 1),
+        (np.array([[1.0, 1.0], [-1.0, 1.0]]) * 8e307, 2),
     ])
     def test_huge_rows_do_not_overflow(self, rows, value):
-        # their squares overflow, so the unit rows must not come from them
+        # their squares overflow, so the unit rows must not come from them;
+        # at 8e307 the CR certificate's own products would overflow too
         ranks = cone_ranks(GeneratorSet.from_rows(rows))
         assert [ranks[k].value for k in RankKind] == [value] * 3
 

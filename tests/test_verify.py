@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conescore.design
 from conescore import (
     GeneratorSet,
     InputError,
@@ -290,6 +293,30 @@ class TestOraclesMatchReference:
         assert_oracles_match(np.array([[0.5, -1.0]]), [[1.0, -1.0]])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(8, 48))
+def test_oracles_match_reference_on_small_grids(seed, d, m):
+    # half-integer grid rows and, half the time, integer scores make exact
+    # ties in both orders; with_ties puts more rows on and just inside eps
+    rng = np.random.default_rng(seed)
+    F = with_ties(rng, rng.integers(-2, 3, size=(m, d)) / 2, TOL.cone_tol)
+    k = int(rng.integers(1, d + 1))
+    A = rng.integers(-2, 3, size=(k, d)) if rng.random() < 0.5 else rng.standard_normal((k, d))
+    assert_oracles_match(F, A)
+
+
+# _DENSE = 0 never tests a whole block; _DENSE = _BLOCK_CELLS always does
+# when any pair of a block of at most _BLOCK_CELLS cells passes
+@pytest.mark.parametrize("dense", [0, _BLOCK_CELLS], ids=["pairs-only", "whole-blocks-only"])
+def test_both_block_tests_match_reference(rng, monkeypatch, dense):
+    # a block tests its second condition on its passing pairs or on every
+    # cell, as its pass count decides; forced either way, reports are equal
+    monkeypatch.setattr(conescore.design, "_DENSE", dense)
+    F = with_ties(rng, np.round(rng.standard_normal((200, 3)) * 2) / 2, TOL.cone_tol)
+    for A in (np.ones((1, 3)), rng.standard_normal((2, 3)), -np.eye(3), np.zeros((0, 3))):
+        assert_oracles_match(F, A)
+
+
 class TestOracleMemory:
     # N x N bools are 9 MB and N x N x d floats 72 MB at this size
     N, D = 3000, 8
@@ -308,3 +335,11 @@ class TestOracleMemory:
         space, design = manual_design(np.eye(self.D), F)
         assert self.peak(lambda: pareto_front(F)) < self.BOUND
         assert self.peak(lambda: check_improvement(design, F).passed) < self.BOUND
+
+    def test_dense_order_stays_in_bounded_blocks(self, rng):
+        # under one score row about half of all pairs pass the >= order, so
+        # the pairs of more than one block at a time would break the bound
+        F = rng.standard_normal((self.N, self.D))
+        space, design = manual_design(rng.standard_normal((1, self.D)), F)
+        assert self.peak(lambda: pareto_front(F, design.A)) < self.BOUND
+        assert self.peak(lambda: check_optimality(design, F).passed) < self.BOUND
