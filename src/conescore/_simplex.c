@@ -81,38 +81,81 @@ get_view(PyObject *obj, Py_buffer *v, const char *name, int ndim, const char *fm
     return -1;
 }
 
+/* Parse (T, basis, eps, max_iter) with T an ndim-D float64 stack of
+   (p+1) x (q+1) tableaux and basis an (ndim-1)-D int64 array of p labels
+   per tableau; on success the caller releases both views. */
+static int
+parse_args(PyObject *const *args, Py_ssize_t nargs, const char *name, int ndim,
+           Py_buffer *tv, Py_buffer *bv, double *eps, long long *max_iter)
+{
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError, "%s takes 4 arguments (%zd given)", name, nargs);
+        return -1;
+    }
+    *eps = PyFloat_AsDouble(args[2]);
+    if (*eps == -1.0 && PyErr_Occurred())
+        return -1;
+    *max_iter = PyLong_AsLongLong(args[3]);
+    if (*max_iter == -1 && PyErr_Occurred())
+        return -1;
+    if (get_view(args[0], tv, "T", ndim, "d", "float64") < 0)
+        return -1;
+    if (get_view(args[1], bv, "basis", ndim - 1, "lq", "int64") < 0) {
+        PyBuffer_Release(tv);
+        return -1;
+    }
+    const Py_ssize_t *ts = tv->shape + ndim - 2, *bs = bv->shape + ndim - 2;
+    if (ts[0] < 1 || ts[1] < 1)
+        PyErr_SetString(PyExc_ValueError, "T needs at least one row and one column");
+    else if (ndim == 3 && bv->shape[0] != tv->shape[0])
+        PyErr_Format(PyExc_ValueError, "basis has %zd rows, T has %zd tableaux",
+                     bv->shape[0], tv->shape[0]);
+    else if (ndim == 2 ? bs[0] < ts[0] - 1 : bs[0] != ts[0] - 1)
+        PyErr_Format(PyExc_ValueError, "basis has %zd entries, T has %zd constraint rows",
+                     bs[0], ts[0] - 1);
+    else
+        return 0;
+    PyBuffer_Release(bv);
+    PyBuffer_Release(tv);
+    return -1;
+}
+
 static PyObject *
 pivot_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer tv, bv;
-    if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "pivot_loop takes 4 arguments (%zd given)", nargs);
+    double eps;
+    long long max_iter;
+    if (parse_args(args, nargs, "pivot_loop", 2, &tv, &bv, &eps, &max_iter) < 0)
         return NULL;
-    }
-    double eps = PyFloat_AsDouble(args[2]);
-    if (eps == -1.0 && PyErr_Occurred())
-        return NULL;
-    long long max_iter = PyLong_AsLongLong(args[3]);
-    if (max_iter == -1 && PyErr_Occurred())
-        return NULL;
-    if (get_view(args[0], &tv, "T", 2, "d", "float64") < 0)
-        return NULL;
-    if (get_view(args[1], &bv, "basis", 1, "lq", "int64") < 0) {
-        PyBuffer_Release(&tv);
-        return NULL;
-    }
-    Py_ssize_t p = tv.shape[0] - 1, q = tv.shape[1] - 1;
-    int status = -1;
-    if (p < 0 || q < 0)
-        PyErr_SetString(PyExc_ValueError, "T needs at least one row and one column");
-    else if (bv.shape[0] < p)
-        PyErr_Format(PyExc_ValueError, "basis has %zd entries, T has %zd constraint rows",
-                     bv.shape[0], p);
-    else
-        status = bland(tv.buf, bv.buf, p, q, eps, max_iter);
+    int status = bland(tv.buf, bv.buf, tv.shape[0] - 1, tv.shape[1] - 1, eps, max_iter);
     PyBuffer_Release(&bv);
     PyBuffer_Release(&tv);
-    return status < 0 ? NULL : PyLong_FromLong(status);
+    return PyLong_FromLong(status);
+}
+
+static PyObject *
+pivot_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_buffer tv, bv;
+    double eps;
+    long long max_iter;
+    if (parse_args(args, nargs, "pivot_batch", 3, &tv, &bv, &eps, &max_iter) < 0)
+        return NULL;
+    const Py_ssize_t k = tv.shape[0], p = tv.shape[1] - 1, q = tv.shape[2] - 1;
+    PyObject *status = PyList_New(k);
+    for (Py_ssize_t s = 0; status != NULL && s < k; s++) {
+        PyObject *st = PyLong_FromLong(bland((double *)tv.buf + s * (p + 1) * (q + 1),
+                                             (long long *)bv.buf + s * p, p, q, eps,
+                                             max_iter));
+        if (st == NULL)
+            Py_CLEAR(status);
+        else
+            PyList_SET_ITEM(status, s, st);
+    }
+    PyBuffer_Release(&bv);
+    PyBuffer_Release(&tv);
+    return status;
 }
 
 static PyMethodDef methods[] = {
@@ -122,6 +165,10 @@ static PyMethodDef methods[] = {
      "(p+1) x (q+1) float64: p constraint rows, one reduced-cost row, rhs in\n"
      "the last column; basis holds p int64 labels.  Returns 0 if optimal,\n"
      "1 if the iteration cap was hit."},
+    {"pivot_batch", (PyCFunction)(void (*)(void))pivot_batch, METH_FASTCALL,
+     "pivot_batch(T, basis, eps, max_iter) -> list[int]\n\n"
+     "pivot_loop on each tableau of the k x (p+1) x (q+1) float64 stack T,\n"
+     "with its row of the k x p int64 basis; returns the k statuses."},
     {NULL, NULL, 0, NULL},
 };
 

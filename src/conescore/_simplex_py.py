@@ -50,3 +50,70 @@ def pivot_loop(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> i
         f[nz] = 0.0
         basis[row] = col
     return 1
+
+
+def pivot_batch(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> list[int]:
+    """Run pivot_loop on every tableau of the stack T, in place, at once.
+
+    T is k x (p+1) x (q+1) and basis k x p.  Each step pivots every tableau
+    that is not yet optimal, by Bland's rule and pivot_loop's per-cell
+    operations, so each slice ends bit-identical to pivot_loop on it alone.
+    The unfinished tableaux are kept at the front of T, so each step works
+    on one contiguous view; the order is restored once at the end.  Returns
+    the k statuses: 0 optimal, 1 iteration cap hit.
+    """
+    k, p, q = T.shape[0], T.shape[1] - 1, T.shape[2] - 1
+    if not k:
+        return []
+    status = np.ones(k, dtype=np.int64)
+    order = np.arange(k)  # the input position of each slice of T
+    fr = np.empty_like(T)  # f * r of each pivot, and a copy of T to reorder it
+    n = k
+    a = np.arange(k)
+    for _ in range(max_iter):
+        S, B = T[:n], basis[:n]
+        # entering: per tableau, the smallest negative-cost column with an
+        # entry above eps (fmax skips NaN, as the comparison does)
+        top = np.fmax.reduce(S[:, :p, :q], axis=1, initial=-np.inf)
+        ok = (S[:, p, :q] < -eps) & (top > eps)
+        has = ok.any(axis=1)
+        if not has.all():
+            # the finished tableaux move behind the unfinished ones (take
+            # with mode="clip" writes straight to out, with no buffer)
+            live = np.argsort(~has, kind="stable")
+            S[...] = np.take(S, live, axis=0, out=fr[:n], mode="clip")
+            B[...], order[:n] = B[live], order[live]
+            n = int(has.sum())
+            status[order[n:has.size]] = 0
+            if not n:
+                break
+            S, B, ok, a = T[:n], basis[:n], ok[live[:n]], a[:n]
+        col = ok.argmax(axis=1)
+        # leaving: min ratio over the rows with an entry above eps, ties by
+        # smallest basis label (q is above every label); a NaN first ratio
+        # wins and later NaNs lose
+        c = S[a, :p, col]
+        rows = c > eps
+        ratios = np.divide(S[:, :p, q], c, out=np.full(c.shape, np.nan), where=rows)
+        best = np.fmin.reduce(ratios, axis=1)
+        row = np.where(rows & (ratios == best[:, None]), B, q).argmin(axis=1)
+        first = rows.argmax(axis=1)
+        nan = np.isnan(ratios[a, first])
+        if nan.any():
+            row[nan] = first[nan]
+        r = S[a, row]
+        r /= r[a, col][:, None]
+        S[a, row] = r
+        # rows whose factor is 0.0 stay untouched, which keeps signed zeros
+        f = S[a, :, col]
+        nz = f != 0.0
+        nz[a, row] = False
+        np.multiply(f[:, :, None], r[:, None, :], out=fr[:n])
+        np.subtract(S, fr[:n], out=S, where=nz[:, :, None])
+        S[a, :, col] = np.where(nz, 0.0, f)
+        B[a, row] = col
+    if np.any(order != np.arange(k)):
+        fr[...] = T
+        T[order] = fr
+        basis[order] = basis.copy()
+    return status.tolist()

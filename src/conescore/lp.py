@@ -23,16 +23,16 @@ from .errors import InputError, NotPointedError, ResourceCapError
 from .linalg import DEFAULT_TOL, Tolerances, _unit_rows, orthonormal_basis
 
 if os.environ.get("CONESCORE_PURE"):
-    from ._simplex_py import pivot_loop
+    from ._simplex_py import pivot_batch, pivot_loop
 
     _KERNEL = "python"
 else:
     try:
-        from ._simplex import pivot_loop  # type: ignore[no-redef]
+        from ._simplex import pivot_batch, pivot_loop  # type: ignore[no-redef]
 
         _KERNEL = "compiled"
     except ImportError:  # pragma: no cover - build environment dependent
-        from ._simplex_py import pivot_loop  # type: ignore[no-redef]
+        from ._simplex_py import pivot_batch, pivot_loop  # type: ignore[no-redef]
 
         _KERNEL = "python"
 
@@ -81,27 +81,12 @@ def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     is the l1 norm of b.  Raises ResourceCapError when the pivot loop hits
     its iteration cap.
     """
-    A = np.ascontiguousarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    p, q = A.shape
-    flip = b < 0
-    if np.any(flip):
-        A = A.copy()
-        A[flip] = -A[flip]
-        b[flip] = -b[flip]
-
+    p, q = np.shape(A)
     T = np.zeros((p + 1, q + p + 1))
     T[:p, :q] = A
-    T[:p, q:q + p] = np.eye(p)
     T[:p, -1] = b
-    T[p, :q] = -A.sum(axis=0)
-    T[p, -1] = -b.sum()
-    basis = (q + np.arange(p)).astype(np.int64)
-
-    max_iter = 50 * (p + q) + 1000
     # Bland's rule cannot cycle in exact arithmetic, but rounding can make it
-    if pivot_loop(T, basis, _PIVOT_EPS, max_iter) != 0:
-        raise ResourceCapError(f"simplex did not terminate within {max_iter} pivots")
+    basis = _pivot_phase1(T, pivot_loop)
 
     feasible = bool(-T[p, -1] <= tol.feas_tol)
     x = np.zeros(q)
@@ -109,6 +94,50 @@ def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
         if basis[i] < q:
             x[basis[i]] = T[i, -1]
     return feasible, x
+
+
+def _pivot_phase1(T: np.ndarray, kernel) -> np.ndarray:
+    """Fill the phase-1 rows of T and pivot it with kernel; the final basis.
+
+    T is one (p+1) x (q+p+1) tableau, or a stack of them along a leading
+    axis, whose first p rows hold A in the first q columns and b in the
+    last one: rows with b < 0 are negated, the artificial identity and the
+    cost row (minus the column sums) are filled in, and the artificials
+    form the starting basis.  kernel is pivot_loop for one tableau and
+    pivot_batch for a stack.  Raises ResourceCapError when any tableau hits
+    the iteration cap, 50 (p + q) + 1000 pivots.
+    """
+    p = T.shape[-2] - 1
+    q = T.shape[-1] - 1 - p
+    A, b = T[..., :p, :q], T[..., :p, -1]
+    flip = b < 0
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    T[..., :p, q:-1] = np.eye(p)
+    T[..., p, :q] = -A.sum(axis=-2)
+    T[..., p, -1] = -b.sum(axis=-1)
+    basis = np.tile(q + np.arange(p, dtype=np.int64), T.shape[:-2] + (1,))
+    max_iter = 50 * (p + q) + 1000
+    if np.any(kernel(T, basis, _PIVOT_EPS, max_iter)):
+        raise ResourceCapError(f"simplex did not terminate within {max_iter} pivots")
+    return basis
+
+
+def _phase1_batch(T: np.ndarray, bound: np.ndarray):
+    """phase1 for a stack of k LPs of one shape, pivoted in one kernel call.
+
+    T is a k x (p+1) x (q+p+1) stack of tableaux whose first p rows hold
+    each LP's A and b, as _pivot_phase1 takes them; T is pivoted in place.
+    LP s is feasible iff its l1 residual reaches bound[s].  Returns
+    (feasible, x) with x the k x q basic solutions.  Raises
+    ResourceCapError when any LP hits phase1's iteration cap.
+    """
+    k, p = T.shape[0], T.shape[1] - 1
+    q = T.shape[2] - 1 - p
+    basis = _pivot_phase1(T, pivot_batch)
+    x = np.zeros((k, q + 1))
+    x[np.arange(k)[:, None], np.minimum(basis, q)] = T[:, :p, -1]
+    return -T[:, p, -1] <= bound, x[:, :q]
 
 
 def solve_feasibility(M: np.ndarray, target: np.ndarray, tol: Tolerances = DEFAULT_TOL,

@@ -5,7 +5,8 @@
 - cone_rank: fewest vectors whose cone merely encloses K_W
 
 All three come from one pipeline, cone_ranks: one decomposition, one
-extreme-ray elimination shared by CSR and CGR, and a separating hyperplane +
+extreme-ray elimination shared by CSR and CGR (one batch of membership LPs,
+pivoted as one stack of tableaux), and a separating hyperplane +
 enclosing simplex for CR.  The simplex witness is simplicial, so one linear
 solve, not one LP per generator, certifies that it encloses K_W.
 """
@@ -29,7 +30,7 @@ from .linalg import (
     numeric_rank,
     orthonormal_basis,
 )
-from .lp import SeparatingHyperplane, find_strict_separator
+from .lp import SeparatingHyperplane, _phase1_batch, find_strict_separator
 
 __all__ = [
     "RankKind",
@@ -42,6 +43,8 @@ __all__ = [
 
 DEFAULT_MAX_LINEALITY_DIM = 6
 _MAX_SUBSETS = 2_000_000
+# tableau cells per batch of membership LPs (4 MiB of float64)
+_BATCH_CELLS = 1 << 19
 
 
 class RankKind(Enum):
@@ -73,22 +76,92 @@ class RankResult:
         return "encloses" if self.kind is RankKind.CR else "equal"
 
 
+def _members(G: np.ndarray, Gs: np.ndarray, rows: np.ndarray, keep: np.ndarray,
+             tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each row G[rows[s]] lies in the cone of the rows j of G with
+    keep[s, j], by one batch of phase-1 LPs, and which rows each witness
+    uses.
+
+    Each LP is _in_cone's (target x / (1 + max|x|), bound of
+    _membership_bound), with the rows Gs of G scaled by powers of two
+    (_pow2_rows) as its columns, so its tableau cannot overflow; the
+    scaling is exact, so short of overflow it is the same LP.  A row not
+    kept is a zero column, which never enters the basis, so every LP of the
+    batch has one shape.  Returns (inside, uses): uses[s, j] when the
+    witness's lam_j * max|Gs_j|, row j's share of the target, exceeds the
+    bound.  Batches hold at most _BATCH_CELLS tableau cells.
+    """
+    m, n = G.shape
+    scale, bound = _membership_bound(G[rows], tol)
+    share = np.max(np.abs(Gs), axis=1)
+    inside, uses = np.empty(len(rows), bool), np.empty((len(rows), m), bool)
+    step = max(1, _BATCH_CELLS // ((n + 1) * (m + n + 1)))
+    for lo in range(0, len(rows), step):
+        s = slice(lo, lo + step)
+        T = np.zeros((len(rows[s]), n + 1, m + n + 1))
+        np.copyto(T[:, :n, :m], Gs.T, where=keep[s, None, :])
+        T[:, :n, -1] = G[rows[s]] / scale[s, None]
+        inside[s], lam = _phase1_batch(T, bound[s])
+        uses[s] = lam * share > bound[s, None]
+    return inside, uses
+
+
 def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
     """Indices of the rows of a pointed W that are extreme rays of K_W.
 
-    Scans the rows once, dropping each row that is a nonnegative combination
-    of the rows still kept.  Dropping a redundant row leaves the cone
-    unchanged, so a row found extreme stays extreme and one membership test
-    per row suffices (the count is independent of scan order, the fixed order
-    just pins the witness).  Pointedness is the caller's to establish.
+    Of several rows on one extreme ray the last is kept, as a scan dropping
+    each redundant row in turn keeps it.  Rows equal up to a power-of-two
+    factor lie on one ray exactly, so only the last of them is tested, in
+    one batch of membership LPs (_members) against all the other tested
+    rows: a row is extreme iff it is not in their cone, unless another
+    tested row lies on its ray.  Two redundant rows share a ray when the
+    witness of one uses the other alone; each group of such rows keeps its
+    last row iff that row is not in the cone of the tested rows outside the
+    group, one more small batch.  So the scan solves one LP per tested row
+    and one per group.
+
+    Dropping every redundant row at once is sound only in a pointed cone.
+    Pointedness is the caller's to establish, but a cone at the edge of
+    the decomposition's tolerances can be called pointed and not be.  So
+    the batch runs only when the sum y of the unit rows certifies it
+    (y . g > cone_tol |y| |g| for every row g).  Otherwise the rows are
+    scanned one at a time, in input order, each tested against the rows
+    still kept: each drop leaves the cone unchanged, so the rows kept
+    generate it whether or not it is pointed.
     """
     G = W.generators
-    idx = list(range(W.m))
-    for i in range(W.m):
-        others = [j for j in idx if j != i]
-        if others and _in_cone(G[i], G[others], tol):
-            idx.remove(i)
-    return idx
+    m = W.m
+    Gs, _ = _pow2_rows(G)
+    U = Gs / np.linalg.norm(Gs, axis=1, keepdims=True)
+    y = U.sum(axis=0)
+    if not np.min(U @ y, initial=np.inf) > tol.cone_tol * np.linalg.norm(y):
+        idx = list(range(m))
+        for i in range(m):
+            others = [j for j in idx if j != i]
+            if others and _in_cone(G[i], G[others], tol):
+                idx.remove(i)
+        return idx
+    # the last of the rows whose scaled bits are equal
+    last_of = {g.tobytes(): i for i, g in enumerate(Gs)}
+    rows = np.array(sorted(last_of.values()), dtype=int)
+    if rows.size < 2:
+        return rows.tolist()
+    tested = np.zeros(m, bool)
+    tested[rows] = True
+    inside, uses = _members(G, Gs, rows, tested & (rows[:, None] != np.arange(m)), tol)
+    redundant = ~tested
+    redundant[rows] = inside
+    group = np.arange(m)
+    for s in np.nonzero(inside & (uses.sum(axis=1) == 1))[0]:
+        j = uses[s].argmax()
+        if redundant[j]:
+            group[group == group[rows[s]]] = group[j]
+    shared = np.nonzero(np.bincount(group[rows]) > 1)[0]
+    if shared.size:
+        last = np.array([rows[group[rows] == g][-1] for g in shared])
+        on_ray, _ = _members(G, Gs, last, tested & (group != shared[:, None]), tol)
+        redundant[last[~on_ray]] = False
+    return np.nonzero(~redundant)[0].tolist()
 
 
 def csr_subspace(
@@ -216,7 +289,10 @@ def cone_ranks(
 
     The decomposition alone decides pointedness and which rows count as zero
     (max|w| <= cone_tol; they are in neither of its parts, so all three ranks
-    ignore them).  One extreme-ray elimination of the pointed part serves both
+    ignore them).  One extreme-ray elimination of the pointed part, its
+    membership LPs solved as one stacked batch when pointedness is
+    certified (_extreme_rows keeps the last row of each extreme ray shared
+    by several rows), serves both
     CSR (those rows mapped back to W, plus a positively spanning subset of
     the lineal rows) and CGR (an (ell+1)-vector frame of the lineality space,
     the basis plus its negated sum, followed by those rows); CR is the frame

@@ -222,16 +222,31 @@ class TestRank:
         assert capsys.readouterr().err == (
             "error: rank chain m >= CSR >= CGR >= CR >= rank fails: 4 >= 4 >= 3 >= 4 >= 3\n")
 
-    def test_overflowing_square_cone_exits_4(self, tmp_path, capsys):
-        # at max|g| = 1.7e308 phase 1 overflows and CSR = CGR = 2 come out
-        # below CR = 3; until the LP rows are scaled first, the chain must
-        # refuse them
+    def test_halfspace_called_pointed_keeps_a_generating_subset(self, tmp_path):
+        # at max|g| = 1e155 decompose calls the halfspace pointed; the rows
+        # kept must still generate it, so CSR and CGR are 3 as at unit scale
+        gens = np.asarray(load_fixture("halfspace_2d.json")["generators"], dtype=float)
+        doc = {"generators": (gens / np.abs(gens).max() * 1e155).tolist()}
+        for kind in ("csr", "cgr"):
+            code, res = run(tmp_path, "rank", doc, "--kind", kind)
+            assert code == 0
+            assert res["ranks"][kind]["value"] == 3
+        code, res = run(tmp_path, "rank", doc, "--kind", "csr")
+        assert res["ranks"]["csr"]["subset_indices"] == [0, 1, 3]
+
+    def test_overflowing_square_cone_gets_unit_scale_ranks(self, tmp_path, capsys):
+        # at max|g| = 1.7e308 the extreme-row scan's LPs combine the rows
+        # scaled by powers of two, so CSR = CGR = 4 and CR = 3 as at unit
+        # scale; decompose's own LP still overflows and warns
         gens = np.sign(load_fixture("square_cone_generators.json")["generators"]) * 1.7e308
         with pytest.warns(RuntimeWarning):
             code, res = run(tmp_path, "rank", {"generators": gens.tolist()})
-        assert code == 4
-        assert res is None
-        assert "rank chain" in capsys.readouterr().err
+        assert code == 0
+        assert {k: v["value"] for k, v in res["ranks"].items()} == {
+            "csr": 4, "cgr": 4, "cr": 3,
+        }
+        assert res["ranks"]["csr"]["subset_indices"] == [0, 1, 2, 3]
+        assert capsys.readouterr().err == ""
 
     def test_square_cone_all(self, tmp_path):
         code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"))

@@ -1,8 +1,9 @@
 """Parity of the pivot kernels with each other and with the scalar loop.
 
-The vectorized ``_simplex_py.pivot_loop`` is checked byte for byte against
-``scalar_pivot_loop`` below, which needs no C compiler.  For the compiled
-kernel, when none is installed, the extension is built from source into a
+The vectorized ``_simplex_py.pivot_loop`` and ``pivot_batch`` are checked
+byte for byte against ``scalar_pivot_loop`` below (slice by slice, for a
+stack), which needs no C compiler.  For the compiled kernel, when none is
+installed, the extension is built from source into a
 temporary directory with the same ``setup.py build_ext`` users run, so the
 compiled-vs-pure checks run wherever a C compiler exists.
 """
@@ -55,6 +56,11 @@ def scalar_pivot_loop(T, basis, eps, max_iter):
                 T[i, col] = 0.0
         basis[row] = col
     return 1
+
+
+def scalar_pivot_batch(T, basis, eps, max_iter):
+    """``scalar_pivot_loop`` on each tableau of a stack, one after another."""
+    return [scalar_pivot_loop(T[s], basis[s], eps, max_iter) for s in range(T.shape[0])]
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +131,71 @@ def pivoted(kernel, T, basis, max_iter):
     return T.tobytes(), basis.tolist(), status
 
 
+def stack(make, rng, k, p, q):
+    """k tableaux of one shape from make, as a stack and a basis array."""
+    tableaux, bases = zip(*(make(rng, p, q) for _ in range(k)))
+    return np.stack(tableaux), np.stack(bases)
+
+
+def random_stack(rng, make, max_k=7):
+    return stack(make, rng, int(rng.integers(1, max_k)), int(rng.integers(1, 9)),
+                 int(rng.integers(1, 12)))
+
+
+def batched(kernel, T, basis, max_iter):
+    """(stack bytes, basis, statuses) after running kernel on copies."""
+    T, basis = T.copy(), basis.copy()
+    status = kernel(T, basis, EPS, max_iter)
+    return T.tobytes(), basis.tolist(), list(status)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 5000])
+@pytest.mark.parametrize("make", list(TABLEAUX.values()), ids=list(TABLEAUX))
+def test_batch_kernel_matches_scalar_loop(rng, make, max_iter):
+    for _ in range(40):
+        T, basis = random_stack(rng, make)
+        assert (batched(_simplex_py.pivot_batch, T, basis, max_iter)
+                == batched(scalar_pivot_batch, T, basis, max_iter))
+
+
+def test_batch_kernel_matches_scalar_loop_on_non_finite_entries(rng):
+    for _ in range(100):
+        T, basis = random_stack(rng, tie_heavy_tableau)
+        u = rng.random(T.shape)
+        T[u < 0.05] = np.nan
+        T[u > 0.95] = np.inf
+        T[(u > 0.90) & (u < 0.92)] = -np.inf
+        with np.errstate(all="ignore"):
+            for max_iter in (1, 3, 200):
+                assert (batched(_simplex_py.pivot_batch, T, basis, max_iter)
+                        == batched(scalar_pivot_batch, T, basis, max_iter))
+
+
+def pivot_counts(T, basis):
+    """How many pivots each tableau of a stack takes to finish."""
+    counts = []
+    for s in range(T.shape[0]):
+        Ts, bs, steps = T[s].copy(), basis[s].copy(), 0
+        while scalar_pivot_loop(Ts, bs, EPS, 1):
+            steps += 1
+        counts.append(steps)
+    return counts
+
+
+def test_batch_tableaux_finish_at_different_pivots(rng):
+    # finished tableaux leave the working stack while the others go on; an
+    # optimal tableau (no column can enter) finishes before the first pivot
+    for _ in range(30):
+        T, basis = stack(random_tableau, rng, 6, 5, 8)
+        T[2, -1, :-1] = np.abs(T[2, -1, :-1])
+        counts = pivot_counts(T, basis)
+        assert counts[2] == 0 and len(set(counts)) > 2
+        for max_iter in (1, max(counts) - 1, max(counts), 5000):
+            got = batched(_simplex_py.pivot_batch, T, basis, max_iter)
+            assert got == batched(scalar_pivot_batch, T, basis, max_iter)
+            assert got[2] == [int(c >= max_iter) for c in counts]
+
+
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 5000])
 @pytest.mark.parametrize("make", list(TABLEAUX.values()), ids=list(TABLEAUX))
 def test_vectorized_kernel_matches_scalar_loop(rng, make, max_iter):
@@ -172,6 +243,32 @@ def test_kernels_bit_identical(rng, compiled):
             assert got[2] == 0
 
 
+def test_batch_kernels_bit_identical(rng, compiled):
+    for make in TABLEAUX.values():
+        for _ in range(20):
+            T, basis = random_stack(rng, make)
+            for max_iter in (1, 3, 5000):
+                got = batched(compiled.pivot_batch, T, basis, max_iter)
+                assert got == batched(_simplex_py.pivot_batch, T, basis, max_iter)
+
+
+def test_compiled_batch_matches_compiled_loop_on_non_finite_entries(rng, compiled):
+    # the compiled batch runs the compiled loop on each slice, NaN bits and
+    # all; the two kernels' NaNs may differ in sign, so they are compared
+    # against each other on finite tableaux only
+    def looped(T, basis, eps, max_iter):
+        return [compiled.pivot_loop(T[s], basis[s], eps, max_iter) for s in range(T.shape[0])]
+
+    for _ in range(60):
+        T, basis = random_stack(rng, tie_heavy_tableau)
+        u = rng.random(T.shape)
+        T[u < 0.05] = np.nan
+        T[u > 0.95] = np.inf
+        for max_iter in (1, 3, 200):
+            assert (batched(compiled.pivot_batch, T, basis, max_iter)
+                    == batched(looped, T, basis, max_iter))
+
+
 def degenerate_tableaux(rng):
     """The tableaux ``lp.phase1`` builds for an LP with no constraint rows
     (one cost row, an empty basis) or no columns (artificials only), plus
@@ -193,6 +290,17 @@ def test_no_rows_or_no_columns_stop_at_once(request, rng, kernel):
         loop = request.getfixturevalue("compiled").pivot_loop
     for T, basis in degenerate_tableaux(rng):
         assert pivoted(loop, T, basis, 5000) == (T.tobytes(), basis.tolist(), 0)
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "vectorized", "compiled"])
+def test_batch_of_no_rows_or_no_columns_stops_at_once(request, rng, kernel):
+    loop = {"scalar": scalar_pivot_batch, "vectorized": _simplex_py.pivot_batch}.get(kernel)
+    if loop is None:
+        loop = request.getfixturevalue("compiled").pivot_batch
+    for T, basis in degenerate_tableaux(rng):
+        for k in (0, 1, 3):
+            Ts, bs = np.repeat(T[None], k, axis=0), np.repeat(basis[None], k, axis=0)
+            assert batched(loop, Ts, bs, 5000) == (Ts.tobytes(), bs.tolist(), [0] * k)
 
 
 def test_iteration_cap_stops_both_kernels_alike(rng, compiled):
@@ -228,6 +336,28 @@ def test_bad_buffers_raise(compiled, make):
         compiled.pivot_loop(T, basis, 1e-11, 100)
 
 
+@pytest.mark.parametrize("make", [
+    lambda T, b: (T, b.astype(np.int32)),
+    lambda T, b: (T.astype(np.float32), b),
+    lambda T, b: (np.asfortranarray(T), b),
+    lambda T, b: (_read_only(T), b),
+    lambda T, b: (T, _read_only(b)),
+    lambda T, b: (T, b[:, :-1]),
+    lambda T, b: (T, b[:-1]),
+    lambda T, b: (T, b[:, ::2]),
+    lambda T, b: (T[0], b[0]),
+    lambda T, b: (T, b[0]),
+    lambda T, b: (T[:, :0], b[:, :0]),
+], ids=["int32-basis", "float32-T", "fortran-T", "read-only-T", "read-only-basis",
+        "short-basis-rows", "short-basis-stack", "strided-basis", "2-D-T", "1-D-basis",
+        "no-cost-row"])
+def test_bad_batch_buffers_raise(compiled, make):
+    T, basis = stack(random_tableau, np.random.default_rng(0), 3, 4, 5)
+    T, basis = make(T, basis)
+    with pytest.raises((TypeError, ValueError)):
+        compiled.pivot_batch(T, basis, 1e-11, 100)
+
+
 def test_solver_results_match_kernels(rng, monkeypatch, compiled):
     from conescore import lp
 
@@ -241,3 +371,18 @@ def test_solver_results_match_kernels(rng, monkeypatch, compiled):
         assert a.feasible == b.feasible
         if a.feasible:
             assert np.array_equal(a.witness, b.witness)
+
+
+def test_batched_solver_results_match_kernels(rng, monkeypatch, compiled):
+    from conescore import lp
+
+    for _ in range(15):
+        T = np.zeros((5, 5, 11))
+        T[:, :4, :6] = rng.standard_normal((5, 4, 6))
+        T[:, :4, -1] = rng.standard_normal((5, 4))
+        results = []
+        for kernel in (compiled.pivot_batch, _simplex_py.pivot_batch):
+            monkeypatch.setattr(lp, "pivot_batch", kernel)
+            feasible, x = lp._phase1_batch(T.copy(), np.full(5, 1e-8))
+            results.append((feasible.tolist(), x.tobytes()))
+        assert results[0] == results[1]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conescore import GeneratorSet, NotPointedError, ResourceCapError, kernel_name
-from conescore.lp import find_strict_separator, solve_feasibility
+from conescore.linalg import Tolerances
+from conescore.lp import _phase1_batch, find_strict_separator, phase1, solve_feasibility
 from conftest import TOL, load_fixture, random_cone_rows
 
 
@@ -68,6 +69,36 @@ class TestSolveFeasibility:
         monkeypatch.setattr(conescore.lp, "pivot_loop", lambda T, basis, eps, max_iter: 1)
         with pytest.raises(ResourceCapError, match="simplex did not terminate"):
             solve_feasibility(np.eye(2), np.ones(2))
+
+
+class TestPhase1Batch:
+    def test_each_lp_matches_phase1(self, rng):
+        # same tableau, same kernel operations: the same verdict and the same
+        # basic solution, bit for bit, at every shape including p = 0 or q = 0
+        for trial in range(120):
+            k, p, q = (int(rng.integers(lo, hi)) for lo, hi in ((1, 6), (0, 12), (0, 14)))
+            A = rng.standard_normal((k, p, q))
+            b = rng.standard_normal((k, p))
+            if trial % 2:  # ties, zero rows and zero targets
+                A, b = np.round(A), np.round(b)
+            bound = 10.0 ** rng.uniform(-9, 0, k)
+            T = np.zeros((k, p + 1, q + p + 1))
+            T[:, :p, :q], T[:, :p, -1] = A, b
+            feasible, x = _phase1_batch(T, bound)
+            for s in range(k):
+                f, xs = phase1(A[s], b[s], Tolerances(feas_tol=bound[s]))
+                assert (f, xs.tobytes()) == (feasible[s], x[s].tobytes())
+
+    def test_iteration_cap_is_a_resource_cap(self, monkeypatch):
+        import conescore.lp
+
+        # one LP of three hits the cap, 50 (p + q) + 1000 pivots as in phase1
+        monkeypatch.setattr(conescore.lp, "pivot_batch", lambda T, *args: [0, 1, 0])
+        T = np.zeros((3, 3, 5))
+        T[:, :2, :2] = np.eye(2)
+        T[:, :2, -1] = 1.0
+        with pytest.raises(ResourceCapError, match="within 1200 pivots"):
+            _phase1_batch(T, np.full(3, 1e-8))
 
 
 class TestStrictSeparator:

@@ -21,9 +21,10 @@ from conescore import (
     is_in_cone,
     is_pointed,
 )
-from conescore.linalg import numeric_rank, orthonormal_basis
+from conescore.cone import _in_cone
+from conescore.linalg import _pow2_rows, numeric_rank, orthonormal_basis
 from conescore.lp import find_strict_separator, solve_feasibility
-from conescore.ranks import csr_subspace, enclosing_simplex
+from conescore.ranks import _extreme_rows, csr_subspace, enclosing_simplex
 from conftest import (
     TOL,
     fixture_generators,
@@ -31,6 +32,102 @@ from conftest import (
     random_pointed_rows,
     random_rotation,
 )
+
+
+def sequential_extreme_rows(W, tol, columns=None):
+    """The reference scan for ``ranks._extreme_rows``: drop each row, in
+    input order, that is a nonnegative combination of the rows still kept.
+    The LPs combine the rows of columns (by default W's own rows)."""
+    G = W.generators
+    C = G if columns is None else columns
+    idx = list(range(W.m))
+    for i in range(W.m):
+        others = [j for j in idx if j != i]
+        if others and _in_cone(G[i], C[others], tol):
+            idx.remove(i)
+    return idx
+
+
+def count_membership_lps(monkeypatch):
+    """A list that grows by the number of membership LPs the ranks solve:
+    the depth of each stack handed to the batch kernel, and one per
+    ``ranks._in_cone`` call."""
+    import conescore.lp
+    import conescore.ranks
+
+    solved = []
+    batch, in_cone = conescore.lp.pivot_batch, conescore.ranks._in_cone
+
+    def counting_batch(T, *args):
+        solved.append(T.shape[0])
+        return batch(T, *args)
+
+    def counting_in_cone(*args):
+        solved.append(1)
+        return in_cone(*args)
+
+    monkeypatch.setattr(conescore.lp, "pivot_batch", counting_batch)
+    monkeypatch.setattr(conescore.ranks, "_in_cone", counting_in_cone)
+    return solved
+
+
+def _spread_rays(g, count, n):
+    """Up to count rows (1, x) in R^n, rotated, with the x unit vectors at
+    least 0.25 apart and scaled onto an ellipsoid: each row is an extreme
+    ray with a margin far above the LP tolerances."""
+    pts = []
+    for _ in range(200 * count):
+        x = g.standard_normal(n - 1)
+        x /= np.linalg.norm(x)
+        if all(np.linalg.norm(x - y) >= 0.25 for y in pts):
+            pts.append(x)
+        if len(pts) == count:
+            break
+    X = np.array(pts) * g.uniform(0.4, 1.0, size=n - 1)
+    return np.hstack([np.ones((len(X), 1)), X]) @ random_rotation(g, n).T
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_batched_scan_matches_the_sequential_scan(seed, scaled):
+    # pointed cones with interior rows and rows repeated at shuffled
+    # positions; the rows kept are the last one on each extreme ray
+    g = np.random.default_rng(seed)
+    n = int(g.integers(2, 6))
+    R = _spread_rays(g, int(g.integers(1, 8)), n)
+    # with one ray, every positive combination lies on it
+    inner = int(g.integers(0, 5)) if len(R) > 1 else 0
+    interior = g.uniform(0.05, 1.0, size=(inner, len(R))) @ R
+    base = np.vstack([R, interior])
+    source = np.concatenate([np.arange(len(base)), g.integers(0, len(base), int(g.integers(0, 6)))])
+    factors = np.concatenate([np.ones(len(base)),
+                              [g.choice([2.0, 3.0, 0.5, g.uniform(0.1, 10.0)])
+                               for _ in range(len(source) - len(base))]])
+    order = g.permutation(len(source))
+    source, G = source[order], (factors[:, None] * base[source])[order]
+    if scaled:
+        G *= 10.0 ** g.uniform(-6, 6, size=(len(G), 1))
+    W = GeneratorSet.from_rows(G)
+    expected = sorted(int(np.nonzero(source == r)[0][-1]) for r in range(len(R)))
+    assert _extreme_rows(W, TOL) == expected
+    # the scan with the same power-of-two columns chooses the same rows; at
+    # unit scale so does the scan on the rows themselves
+    assert sequential_extreme_rows(W, TOL, _pow2_rows(G)[0]) == expected
+    if not scaled:
+        assert sequential_extreme_rows(W, TOL) == expected
+
+
+def test_uncertified_cone_is_scanned_row_by_row(monkeypatch):
+    # a pointed cone whose rays span 178 degrees: the sum of its unit rows
+    # does not separate it from the origin, so no batch is solved and the
+    # rows are tested one at a time against the rows still kept
+    t = np.radians([-80.0, 95.0, 96.5, 98.0])
+    G = np.column_stack([np.cos(t), np.sin(t)])
+    W = GeneratorSet.from_rows(np.vstack([G, G[1] + G[2], 3.0 * G[0]]))
+    solved = count_membership_lps(monkeypatch)
+    assert _extreme_rows(W, TOL) == [3, 5]
+    assert solved == [1] * W.m
+    assert sequential_extreme_rows(W, TOL) == [3, 5]
 
 
 class TestCsrPointed:
@@ -64,21 +161,12 @@ class TestCsrPointed:
 
     def test_one_membership_test_per_row(self, rng, monkeypatch):
         # a redundant row leaves the cone unchanged, so one scan suffices
-        import conescore.ranks
-
         G = random_pointed_rows(rng, 6, 3)
         G = np.vstack([2.0 * G[1], G, rng.random(6) @ G, G[4]])
-        calls = []
-        real = conescore.ranks._in_cone
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(conescore.ranks, "_in_cone", counting)
+        solved = count_membership_lps(monkeypatch)
         W = GeneratorSet.from_rows(G)
         res = cone_subset_rank(W)
-        assert len(calls) <= W.m
+        assert 0 < sum(solved) <= W.m
         assert res.value < W.m - 2
 
 
@@ -120,8 +208,6 @@ class TestCsrSubspace:
 
 class TestConeSubsetRank:
     def test_pointed_delegates(self):
-        from conescore.ranks import _extreme_rows
-
         W = fixture_generators("square_cone_generators.json")
         res = cone_subset_rank(W)
         assert res.value == 4
@@ -401,21 +487,12 @@ def test_rank_kinds_tagged():
 
 class TestConeRanks:
     def test_one_elimination_for_csr_and_cgr(self, rng, monkeypatch):
-        import conescore.ranks
-
         G = random_pointed_rows(rng, 6, 3)
         G = np.vstack([G, rng.random(6) @ G, 2.0 * G[3]])
-        calls = []
-        real = conescore.ranks._in_cone
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(conescore.ranks, "_in_cone", counting)
+        solved = count_membership_lps(monkeypatch)
         W = GeneratorSet.from_rows(G)
         ranks = cone_ranks(W, TOL, kinds=(RankKind.CSR, RankKind.CGR))
-        assert len(calls) <= W.m
+        assert 0 < sum(solved) <= W.m
         assert ranks[RankKind.CSR].value == ranks[RankKind.CGR].value <= W.m - 2
 
     def test_validates_nothing_per_membership_test(self, rng, monkeypatch):
