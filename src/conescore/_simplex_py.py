@@ -20,6 +20,12 @@ def pivot_loop(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> i
     A column with negative reduced cost but no entry above eps is skipped:
     the phase-1 objective is bounded below, so that signal is numerical noise.
     """
+    return _loop(T, basis, eps, max_iter)
+
+
+def _loop(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> int:
+    """pivot_loop's body.  pivot_batch calls it by this name: a tracer that
+    rebinds pivot_loop, wherever it is bound, must not see stack slices."""
     p = T.shape[0] - 1
     q = T.shape[1] - 1
     cost, cons, rhs = T[p, :q], T[:p], T[:p, q]
@@ -59,12 +65,13 @@ def pivot_batch(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> 
     that is not yet optimal, by Bland's rule and pivot_loop's per-cell
     operations, so each slice ends bit-identical to pivot_loop on it alone.
     The unfinished tableaux are kept at the front of T, so each step works
-    on one contiguous view; the order is restored once at the end.  Returns
-    the k statuses: 0 optimal, 1 iteration cap hit.
+    on one contiguous view; the order is restored once at the end.  A stack
+    of one goes through pivot_loop's own loop, which is faster on one
+    tableau.  Returns the k statuses: 0 optimal, 1 iteration cap hit.
     """
     k, p, q = T.shape[0], T.shape[1] - 1, T.shape[2] - 1
-    if not k:
-        return []
+    if k < 2:
+        return [_loop(T[0], basis[0], eps, max_iter)] if k else []
     status = np.ones(k, dtype=np.int64)
     order = np.arange(k)  # the input position of each slice of T
     fr = np.empty_like(T)  # f * r of each pivot, and a copy of T to reorder it

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, orthonormal_basis, project_complement
-from .lp import solve_feasibility
+from .lp import _phase1_stack, solve_feasibility
 
 __all__ = [
     "GeneratorSet",
@@ -22,6 +22,10 @@ __all__ = [
     "is_pointed",
     "decompose",
 ]
+
+# steps of decompose's loop: each adds one zero-combination's support to the
+# lineality basis, so in exact arithmetic at most dim of them are needed
+_MAX_STEPS = 1000
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -90,12 +94,18 @@ def is_in_cone(x, W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     max(feas_tol, cone_tol * (1 + max|x|)).  A W with no rows goes through
     the same LP, so it holds the points whose l1 norm is within that bound.
     x must be one finite point of W's dimension."""
-    X = as_matrix(x, "point")
+    X = _points(x, W.dim)
     if X.shape[0] != 1:
         raise InputError(f"point: expected one point, got {X.shape[0]} rows")
-    if X.shape[1] != W.dim:
-        raise InputError(f"point has dim {X.shape[1]}, cone has dim {W.dim}")
-    return _in_cone(X[0], W.generators, tol)
+    return bool(_members(X, W.generators, tol)[0][0])
+
+
+def _points(x, dim: int) -> np.ndarray:
+    """x as finite points of dimension dim, one per row; InputError else."""
+    X = as_matrix(x, "point")
+    if X.shape[1] != dim:
+        raise InputError(f"point has dim {X.shape[1]}, cone has dim {dim}")
+    return X
 
 
 def _membership_bound(X: np.ndarray, tol: Tolerances):
@@ -111,11 +121,23 @@ def _membership_bound(X: np.ndarray, tol: Tolerances):
     return scale, np.maximum(tol.feas_tol / scale, tol.cone_tol)
 
 
-def _in_cone(x: np.ndarray, G: np.ndarray, tol: Tolerances) -> bool:
-    """``is_in_cone`` for a point and generator rows already validated."""
-    scale, bound = _membership_bound(x, tol)
-    eff = Tolerances(tol.rank_tol, bound, tol.cone_tol)
-    return solve_feasibility(G, x / scale, eff).feasible
+def _members(X: np.ndarray, G: np.ndarray, tol: Tolerances,
+             keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each row x of X lies in the cone of the rows of G (row s: of
+    the rows j with keep[s, j]), and which rows each witness uses.
+
+    Row s is inside when some lam >= 0 brings the l1 residual of
+    lam @ G = x / scale within bound (both from _membership_bound): one
+    phase-1 LP per row, all solved as stacks by lp._phase1_stack.  A row
+    that keep leaves out is a zero column, which never enters the basis, so
+    each LP pivots as the LP on the kept rows alone does.  uses[s, j] when
+    the witness's lam_j * max|g_j|, row j's share of the target, exceeds
+    the bound.  The package's callers pass finite arrays of matching
+    shapes, which are not checked.
+    """
+    scale, bound = _membership_bound(X, tol)
+    inside, lam = _phase1_stack(G, X / scale[:, None], bound, keep)
+    return inside, lam * np.max(np.abs(G), axis=1, initial=0.0) > bound[:, None]
 
 
 def _nonzero_rows(G: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -131,7 +153,9 @@ def _zero_combination(G: np.ndarray, tol: Tolerances) -> np.ndarray | None:
     active = np.nonzero(_nonzero_rows(G, tol))[0]
     if active.size == 0:
         return None
-    res = solve_feasibility(G[active], np.zeros(G.shape[1]), tol, sum_to_one=True)
+    # a column of ones adds the row sum(lam) = 1 to the LP
+    rows = np.hstack([G[active], np.ones((active.size, 1))])
+    res = solve_feasibility(rows, np.append(np.zeros(G.shape[1]), 1.0), tol)
     return active[res.witness > tol.feas_tol] if res.feasible else None
 
 
@@ -148,7 +172,8 @@ def decompose(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> ConeDecompositi
     absorbs its support into the lineality basis, and re-projects; stops when
     the remaining projected cone is pointed.  A row that does not count as
     zero lies inside the lineality space when its projection does count as
-    zero (cheaper than an LP and exact for a subspace).
+    zero (cheaper than an LP and exact for a subspace).  Raises
+    ResourceCapError when the loop has not ended after _MAX_STEPS steps.
     """
     G = W.generators
     d = W.dim
@@ -157,11 +182,16 @@ def decompose(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> ConeDecompositi
     rows = np.nonzero(_nonzero_rows(G, tol))[0]
     P = N = G[rows]
     Z = np.zeros((d, 0))
-    while (support := _zero_combination(P, tol)) is not None:
-        # supported projected rows lie in the lineality of the projected cone;
-        # they are orthogonal to Z already, so the basis strictly grows
+    for _ in range(_MAX_STEPS):
+        if (support := _zero_combination(P, tol)) is None:
+            break
+        # supported projected rows lie in the lineality of the projected
+        # cone and are orthogonal to Z, so in exact arithmetic the basis
+        # grows; rounding can make a step only rotate it, which is allowed
         Z = orthonormal_basis(np.vstack([Z.T, P[support]]), tol)
         P = project_complement(N, Z)
+    else:
+        raise ResourceCapError(f"decompose did not finish within {_MAX_STEPS} steps")
 
     off = _nonzero_rows(P, tol)
     inside, outside = rows[~off], rows[off]

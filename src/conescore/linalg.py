@@ -149,10 +149,15 @@ def compute_affine_hull(F: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> AffineH
     anchored at their centroid.
 
     The hull is invariant to the anchor choice; the centroid makes the result
-    independent of sample order.
+    independent of sample order.  Samples whose centroid or centred values
+    overflow raise InputError.
     """
-    anchor = F.mean(axis=0)
-    return AffineHull(anchor=anchor, basis=orthonormal_basis(F - anchor, tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchor = F.mean(axis=0)
+        centred = F - anchor
+    if not np.all(np.isfinite(centred)):
+        raise InputError("samples: centred samples overflow (entries must be finite)")
+    return AffineHull(anchor=anchor, basis=orthonormal_basis(centred, tol))
 
 
 def project_complement(W: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Small dense LP feasibility solver and strict separation.
 
 Everything reduces to one phase-1 simplex with Bland's anti-cycling rule on a
-dense tableau, so results are fully deterministic.  The pivot loop itself is
+dense tableau, so results are fully deterministic.  One builder fills the
+tableaux and one reader pivots them and reads their verdicts, for a single
+LP (``phase1``) and for a stack of LPs of one shape (``_phase1_stack``,
+which every cone-membership test goes through).  The pivot loop itself is
 the hot kernel: the compiled extension built from ``_simplex.c`` is
 preferred, with the vectorized numpy ``_simplex_py`` selected at import when
 it is absent (or forced via CONESCORE_PURE=1).  Both run the same operations
@@ -40,6 +43,8 @@ __all__ = ["kernel_name"]
 
 # pivot epsilons are fixed; user tolerances only affect the feasibility verdict
 _PIVOT_EPS = 1e-11
+# tableau cells per stack of LPs handed to pivot_batch (4 MiB of float64)
+_BATCH_CELLS = 1 << 19
 
 
 def kernel_name() -> str:
@@ -51,10 +56,9 @@ def kernel_name() -> str:
 class FeasibilityResult:
     """The verdict of one phase-1 LP and, when feasible, its basic solution.
 
-    Feasible means the phase-1 l1 residual, sum |lam @ M - target| (plus
-    |sum(lam) - 1| with sum_to_one), reached feas_tol; that residual is the
-    one certificate, and witness is the lam attaining it (None when
-    infeasible).
+    Feasible means the phase-1 l1 residual, sum |lam @ M - target|, reached
+    feas_tol; that residual is the one certificate, and witness is the lam
+    attaining it (None when infeasible).
     """
 
     feasible: bool
@@ -81,79 +85,80 @@ def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     is the l1 norm of b.  Raises ResourceCapError when the pivot loop hits
     its iteration cap.
     """
-    p, q = np.shape(A)
-    T = np.zeros((p + 1, q + p + 1))
-    T[:p, :q] = A
-    T[:p, -1] = b
-    # Bland's rule cannot cycle in exact arithmetic, but rounding can make it
-    basis = _pivot_phase1(T, pivot_loop)
-
-    feasible = bool(-T[p, -1] <= tol.feas_tol)
-    x = np.zeros(q)
-    for i in range(p):
-        if basis[i] < q:
-            x[basis[i]] = T[i, -1]
-    return feasible, x
+    T, basis = _tableaux(A, b[None])
+    feasible, x = _solve(T[0], basis[0], pivot_loop, tol.feas_tol)
+    return bool(feasible), x
 
 
-def _pivot_phase1(T: np.ndarray, kernel) -> np.ndarray:
-    """Fill the phase-1 rows of T and pivot it with kernel; the final basis.
+def _tableaux(A: np.ndarray, B: np.ndarray, keep: np.ndarray | None = None):
+    """The phase-1 tableaux of A x = b, x >= 0, one per row b of B, as one
+    k x (p+1) x (q+p+1) stack, and their k x p starting bases.
 
-    T is one (p+1) x (q+p+1) tableau, or a stack of them along a leading
-    axis, whose first p rows hold A in the first q columns and b in the
-    last one: rows with b < 0 are negated, the artificial identity and the
-    cost row (minus the column sums) are filled in, and the artificials
-    form the starting basis.  kernel is pivot_loop for one tableau and
-    pivot_batch for a stack.  Raises ResourceCapError when any tableau hits
-    the iteration cap, 50 (p + q) + 1000 pivots.
+    With keep, tableau s holds column j of A only where keep[s, j]; the
+    others are zero columns, which never enter the basis.  Rows with b < 0
+    are negated, the artificial identity and the cost row (minus the column
+    sums) are filled in, and the artificials form the starting basis.
     """
-    p = T.shape[-2] - 1
+    (k, p), q = B.shape, A.shape[1]
+    T = np.zeros((k, p + 1, q + p + 1))
+    np.copyto(T[:, :p, :q], A, where=True if keep is None else keep[:, None, :])
+    T[:, :p, -1] = B
+    rows, flip = T[:, :p], B < 0
+    rows[flip] = -rows[flip]  # the artificial columns get the identity next
+    T[:, :p, q:-1] = np.eye(p)
+    T[:, p, :q] = -rows[..., :q].sum(axis=1)
+    T[:, p, -1] = -rows[..., -1].sum(axis=1)
+    return T, np.tile(q + np.arange(p, dtype=np.int64), (k, 1))
+
+
+def _solve(T: np.ndarray, basis: np.ndarray, kernel, bound):
+    """Pivot one tableau of _tableaux (kernel pivot_loop) or a stack of them
+    (kernel pivot_batch) in place; (feasible, x), with x the basic solution
+    of each and feasible whether its l1 residual reaches bound.  Raises
+    ResourceCapError when any tableau hits the iteration cap,
+    50 (p + q) + 1000 pivots.
+    """
+    p = basis.shape[-1]
     q = T.shape[-1] - 1 - p
-    A, b = T[..., :p, :q], T[..., :p, -1]
-    flip = b < 0
-    A[flip] = -A[flip]
-    b[flip] = -b[flip]
-    T[..., :p, q:-1] = np.eye(p)
-    T[..., p, :q] = -A.sum(axis=-2)
-    T[..., p, -1] = -b.sum(axis=-1)
-    basis = np.tile(q + np.arange(p, dtype=np.int64), T.shape[:-2] + (1,))
     max_iter = 50 * (p + q) + 1000
+    # Bland's rule cannot cycle in exact arithmetic, but rounding can make it
     if np.any(kernel(T, basis, _PIVOT_EPS, max_iter)):
         raise ResourceCapError(f"simplex did not terminate within {max_iter} pivots")
-    return basis
+    x = np.zeros(basis.shape[:-1] + (q + 1,))
+    np.put_along_axis(x, np.minimum(basis, q), T[..., :p, -1], axis=-1)
+    return -T[..., p, -1] <= bound, x[..., :q]
 
 
-def _phase1_batch(T: np.ndarray, bound: np.ndarray):
-    """phase1 for a stack of k LPs of one shape, pivoted in one kernel call.
+def _phase1_stack(G: np.ndarray, X: np.ndarray, bound: np.ndarray,
+                  keep: np.ndarray | None = None):
+    """phase1 for lam @ G = x, lam >= 0, for each row x of X, the LP of row
+    s combining only the rows j of G with keep[s, j] (all rows without
+    keep), and feasible iff its l1 residual reaches bound[s].
 
-    T is a k x (p+1) x (q+p+1) stack of tableaux whose first p rows hold
-    each LP's A and b, as _pivot_phase1 takes them; T is pivoted in place.
-    LP s is feasible iff its l1 residual reaches bound[s].  Returns
-    (feasible, x) with x the k x q basic solutions.  Raises
-    ResourceCapError when any LP hits phase1's iteration cap.
+    The LPs are pivoted as stacks of at most _BATCH_CELLS tableau cells,
+    one pivot_batch call each.  Returns (feasible, lam) with lam the
+    k x m basic solutions.  Raises ResourceCapError when any LP hits
+    phase1's iteration cap.
     """
-    k, p = T.shape[0], T.shape[1] - 1
-    q = T.shape[2] - 1 - p
-    basis = _pivot_phase1(T, pivot_batch)
-    x = np.zeros((k, q + 1))
-    x[np.arange(k)[:, None], np.minimum(basis, q)] = T[:, :p, -1]
-    return -T[:, p, -1] <= bound, x[:, :q]
+    (m, n), k = G.shape, X.shape[0]
+    feasible, lam = np.empty(k, bool), np.empty((k, m))
+    step = max(1, _BATCH_CELLS // ((n + 1) * (m + n + 1)))
+    for lo in range(0, k, step):
+        s = slice(lo, lo + step)
+        T, basis = _tableaux(G.T, X[s], None if keep is None else keep[s])
+        feasible[s], lam[s] = _solve(T, basis, pivot_batch, bound[s])
+    return feasible, lam
 
 
-def solve_feasibility(M: np.ndarray, target: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-                      sum_to_one: bool = False) -> FeasibilityResult:
-    """Decide whether some row vector lam >= 0 has lam @ M = target (and
-    sum(lam) = 1 with sum_to_one), with a witness when it does.
+def solve_feasibility(M: np.ndarray, target: np.ndarray,
+                      tol: Tolerances = DEFAULT_TOL) -> FeasibilityResult:
+    """Decide whether some row vector lam >= 0 has lam @ M = target, with a
+    witness when it does.
 
     M is an m x n array and target a vector of length n.  Deterministic
     (fixed Bland pivot rule).
     """
-    A, b = M.T, target
-    if sum_to_one:
-        A = np.vstack([A, np.ones(M.shape[0])])
-        b = np.append(target, 1.0)
-
-    feasible, lam = phase1(A, b, tol)
+    feasible, lam = phase1(M.T, target, tol)
     return FeasibilityResult(feasible, lam if feasible else None)
 
 

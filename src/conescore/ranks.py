@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cone import GeneratorSet, _in_cone, _membership_bound, decompose
+from .cone import GeneratorSet, _members, _membership_bound, decompose
 from .errors import InputError, ResourceCapError, VerificationError
 from .linalg import (
     DEFAULT_TOL,
@@ -30,7 +30,7 @@ from .linalg import (
     numeric_rank,
     orthonormal_basis,
 )
-from .lp import SeparatingHyperplane, _phase1_batch, find_strict_separator
+from .lp import SeparatingHyperplane, find_strict_separator
 
 __all__ = [
     "RankKind",
@@ -43,8 +43,6 @@ __all__ = [
 
 DEFAULT_MAX_LINEALITY_DIM = 6
 _MAX_SUBSETS = 2_000_000
-# tableau cells per batch of membership LPs (4 MiB of float64)
-_BATCH_CELLS = 1 << 19
 
 
 class RankKind(Enum):
@@ -76,36 +74,6 @@ class RankResult:
         return "encloses" if self.kind is RankKind.CR else "equal"
 
 
-def _members(G: np.ndarray, Gs: np.ndarray, rows: np.ndarray, keep: np.ndarray,
-             tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each row G[rows[s]] lies in the cone of the rows j of G with
-    keep[s, j], by one batch of phase-1 LPs, and which rows each witness
-    uses.
-
-    Each LP is _in_cone's (target x / (1 + max|x|), bound of
-    _membership_bound), with the rows Gs of G scaled by powers of two
-    (_pow2_rows) as its columns, so its tableau cannot overflow; the
-    scaling is exact, so short of overflow it is the same LP.  A row not
-    kept is a zero column, which never enters the basis, so every LP of the
-    batch has one shape.  Returns (inside, uses): uses[s, j] when the
-    witness's lam_j * max|Gs_j|, row j's share of the target, exceeds the
-    bound.  Batches hold at most _BATCH_CELLS tableau cells.
-    """
-    m, n = G.shape
-    scale, bound = _membership_bound(G[rows], tol)
-    share = np.max(np.abs(Gs), axis=1)
-    inside, uses = np.empty(len(rows), bool), np.empty((len(rows), m), bool)
-    step = max(1, _BATCH_CELLS // ((n + 1) * (m + n + 1)))
-    for lo in range(0, len(rows), step):
-        s = slice(lo, lo + step)
-        T = np.zeros((len(rows[s]), n + 1, m + n + 1))
-        np.copyto(T[:, :n, :m], Gs.T, where=keep[s, None, :])
-        T[:, :n, -1] = G[rows[s]] / scale[s, None]
-        inside[s], lam = _phase1_batch(T, bound[s])
-        uses[s] = lam * share > bound[s, None]
-    return inside, uses
-
-
 def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
     """Indices of the rows of a pointed W that are extreme rays of K_W.
 
@@ -125,9 +93,9 @@ def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
     the decomposition's tolerances can be called pointed and not be.  So
     the batch runs only when the sum y of the unit rows certifies it
     (y . g > cone_tol |y| |g| for every row g).  Otherwise the rows are
-    scanned one at a time, in input order, each tested against the rows
-    still kept: each drop leaves the cone unchanged, so the rows kept
-    generate it whether or not it is pointed.
+    scanned one at a time, in input order, each tested against the input
+    rows still kept (a keep mask of one row): each drop leaves the cone
+    unchanged, so the rows kept generate it whether or not it is pointed.
     """
     G = W.generators
     m = W.m
@@ -135,12 +103,11 @@ def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
     U = Gs / np.linalg.norm(Gs, axis=1, keepdims=True)
     y = U.sum(axis=0)
     if not np.min(U @ y, initial=np.inf) > tol.cone_tol * np.linalg.norm(y):
-        idx = list(range(m))
+        kept = np.ones(m, bool)
         for i in range(m):
-            others = [j for j in idx if j != i]
-            if others and _in_cone(G[i], G[others], tol):
-                idx.remove(i)
-        return idx
+            kept[i] = False  # row i meets the other rows kept
+            kept[i] = not (kept.any() and _members(G[i:i + 1], G, tol, kept[None])[0][0])
+        return np.flatnonzero(kept).tolist()
     # the last of the rows whose scaled bits are equal
     last_of = {g.tobytes(): i for i, g in enumerate(Gs)}
     rows = np.array(sorted(last_of.values()), dtype=int)
@@ -148,7 +115,7 @@ def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
         return rows.tolist()
     tested = np.zeros(m, bool)
     tested[rows] = True
-    inside, uses = _members(G, Gs, rows, tested & (rows[:, None] != np.arange(m)), tol)
+    inside, uses = _members(G[rows], Gs, tol, tested & (rows[:, None] != np.arange(m)))
     redundant = ~tested
     redundant[rows] = inside
     group = np.arange(m)
@@ -159,7 +126,7 @@ def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
     shared = np.nonzero(np.bincount(group[rows]) > 1)[0]
     if shared.size:
         last = np.array([rows[group[rows] == g][-1] for g in shared])
-        on_ray, _ = _members(G, Gs, last, tested & (group != shared[:, None]), tol)
+        on_ray, _ = _members(G[last], Gs, tol, tested & (group != shared[:, None]))
         redundant[last[~on_ray]] = False
     return np.nonzero(~redundant)[0].tolist()
 
@@ -190,7 +157,7 @@ def csr_subspace(
         if tried == _MAX_SUBSETS:
             raise ResourceCapError("lineality dimension too large")
         U = G[list(subset)]
-        if numeric_rank(U, tol) == t and _in_cone(-U.sum(axis=0), U, tol):
+        if numeric_rank(U, tol) == t and _members(-U.sum(axis=0, keepdims=True), U, tol)[0][0]:
             return RankResult(RankKind.CSR, GeneratorSet(U), subset)
     raise InputError("generators do not positively span their span")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import GeneratorSet, is_in_cone
+from .cone import GeneratorSet, _members, _points
 from .design import Restriction, ScoreDesign, _ahead, _behind, _order_blocks, pareto_front
 from .errors import InputError
 from .linalg import AffineHull, DEFAULT_TOL, Tolerances, as_matrix
@@ -132,15 +132,18 @@ def check_restriction(
 
     # Res-LM: by Farkas, v . y >= 0 for every y with Z y >= 0 exactly when v
     # lies in the cone over the rows of Z, so this is exact monotonicity
-    Zset = GeneratorSet.from_rows(hull.basis, dim=hull.dim)
-    V = np.atleast_2d(design.V)
-    violations = [(i, 1.0) for i, v in enumerate(V) if not is_in_cone(v, Zset, tol)]
+    V = _points(design.V, hull.dim)
+    inside, _ = _members(V, GeneratorSet(hull.basis).generators, tol)
+    violations = [(i, 1.0) for i in np.flatnonzero(~inside).tolist()]
     return VerificationReport(V.shape[0], tuple(violations), "restriction-res-lm-certificate")
 
 
 def check_cone_subset(W: GeneratorSet, V: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff K_W is contained in K_V (generator membership suffices)."""
-    return all(is_in_cone(w, V, tol) for w in W.generators)
+    """True iff K_W is contained in K_V (generator membership suffices).
+    InputError when the two cones have different dimensions."""
+    if W.dim != V.dim:
+        raise InputError(f"cone dims differ: W has dim {W.dim}, V has dim {V.dim}")
+    return bool(_members(W.generators, V.generators, tol)[0].all())
 
 
 def check_cone_equal(W: GeneratorSet, V: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:

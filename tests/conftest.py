@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conescore import GeneratorSet, Tolerances
+from conescore.cone import _membership_bound
 from conescore.fixtures import fixture_path
+from conescore.lp import phase1
 
 TOL = Tolerances()
 
@@ -16,6 +18,15 @@ def load_fixture(name):
 
 def fixture_generators(name):
     return GeneratorSet.from_rows(load_fixture(name)["generators"])
+
+
+def scalar_member(x, G, tol=TOL):
+    """The scalar membership reference: one ``phase1`` on the rows of G for
+    the point x, at ``_membership_bound``'s target x / scale and bound.
+    Returns (inside, lam), lam the LP's basic solution.  ``cone._members``
+    must match it row by row, bit for bit."""
+    scale, bound = _membership_bound(x, tol)
+    return phase1(G.T, x / scale, Tolerances(tol.rank_tol, bound, tol.cone_tol))
 
 
 def random_pointed_rows(rng, m, n, margin=0.3):

@@ -22,6 +22,16 @@ def run(tmp_path, command, in_doc, *args, name="problem.json"):
     return code, result
 
 
+def scaled_fixture(name, s):
+    """The fixture with its generators and samples scaled to max|x| = s."""
+    doc = load_fixture(name)
+    for key in ("generators", "metrics_samples"):
+        if key in doc:
+            x = np.asarray(doc[key], dtype=float)
+            doc[key] = (x / np.max(np.abs(x)) * s).tolist()
+    return doc
+
+
 # a row below cone_tol along the lineality space (the x-axis) and one across it
 TINY_ROW_CONES = pytest.mark.parametrize("tiny", [[-1e-9, 0], [0, 1e-9]],
                                          ids=["along-lineality", "across-lineality"])
@@ -71,6 +81,30 @@ class TestDecompose:
         assert dec["ell"] == 0
         assert dec["lineal_generator_indices"] == []
         assert dec["pointed_generator_indices"] == [0]
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e12])
+@pytest.mark.parametrize("argv", [("decompose",), ("rank", "--kind", "all")],
+                         ids=["decompose", "rank-all"])
+def test_decomposition_that_does_not_end_exits_3(tmp_path, capsys, monkeypatch, argv, scale):
+    # at these scales each step of decompose's loop finds a zero combination
+    # again but only rotates the lineality basis; the loop is capped
+    import conescore.cone
+
+    calls = []
+    real = conescore.cone._zero_combination
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conescore.cone, "_zero_combination", counting)
+    code, res = run(tmp_path, argv[0], scaled_fixture("nonpointed_5d_generators.json", scale),
+                    *argv[1:])
+    assert code == 3
+    assert res is None
+    assert capsys.readouterr().err == "error: decompose did not finish within 1000 steps\n"
+    assert len(calls) == conescore.cone._MAX_STEPS == 1000
 
 
 class TestRank:
@@ -508,6 +542,25 @@ def test_negative_max_lineality_dim_is_an_input_error(tmp_path, capsys):
     assert code == 2
     assert res is None
     assert err == "error: --max-lineality-dim must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("name, scale, command", [
+    ("square_cone_samples.json", 8e307, "design"),
+    ("square_cone_samples.json", 1.7e308, "design"),
+    ("nonpointed_5d_samples.json", 1.7e308, "design"),
+    ("correlated_line_samples.json", 1.7e308, "design"),
+    ("improvement_without_relint.json", 1.7e308, "design"),
+    ("improvement_without_relint.json", 1.7e308, "verify"),
+])
+def test_samples_whose_centred_values_overflow_exit_2(tmp_path, capsys, name, scale, command):
+    # the centroid, or the samples minus it, overflow: the hull's SVD would
+    # hang, raise LinAlgError or answer from non-finite values
+    args = ("--objective", "both", "--restriction", "res-lm") if command == "design" else ()
+    code, res = run(tmp_path, command, scaled_fixture(name, scale), *args)
+    assert code == 2
+    assert res is None
+    assert capsys.readouterr().err == (
+        "error: samples: centred samples overflow (entries must be finite)\n")
 
 
 def test_iteration_cap_exits_3(tmp_path, capsys, monkeypatch):

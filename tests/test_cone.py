@@ -19,8 +19,15 @@ from conescore import (
     is_in_cone,
     is_pointed,
 )
+from conescore.cone import _members, _membership_bound
 from conescore.linalg import orthonormal_basis, project_complement
-from conftest import TOL, fixture_generators, random_cone_rows, random_rotation
+from conftest import (
+    TOL,
+    fixture_generators,
+    random_cone_rows,
+    random_rotation,
+    scalar_member,
+)
 
 
 class TestGeneratorSet:
@@ -122,6 +129,12 @@ class TestMembership:
         W = GeneratorSet.from_rows(rows, dim=2)
         assert not is_in_cone([8e-9, 8e-9], W)
         assert is_in_cone([4e-9, 4e-9], W)
+        # the same verdicts for both points in one stack, and with every row
+        # left out by keep
+        X, G = np.array([[8e-9, 8e-9], [4e-9, 4e-9]]), W.generators
+        assert members_match_the_scalar_reference(X, G) == [False, True]
+        keep = np.zeros((2, W.m), bool)
+        assert members_match_the_scalar_reference(X, G, keep) == [False, True]
 
     @pytest.mark.parametrize("x, match", [
         ([np.inf, 0.0], "point: entries must be finite"),
@@ -143,6 +156,43 @@ class TestMembership:
         assert is_in_cone(scale * np.array([3.0, 0.5]), W)
         assert not is_in_cone(scale * np.array([-1.0, 1.0]), W)
         assert not is_in_cone(scale * np.array([1.0, -1e-3]), W)
+
+
+def members_match_the_scalar_reference(X, G, keep=None):
+    """_members(X, G, TOL, keep) and, row by row, the scalar LP on the rows
+    keep leaves it: the same verdict, and uses[s, j] exactly where the
+    scalar witness gives row j a share lam_j * max|g_j| above the bound.
+    Returns the verdicts."""
+    inside, uses = _members(X, G, TOL, keep)
+    share = np.max(np.abs(G), axis=1, initial=0.0)
+    for s, x in enumerate(X):
+        kept = np.ones(len(G), bool) if keep is None else keep[s]
+        feasible, lam = scalar_member(x, G[kept])
+        _, bound = _membership_bound(x, TOL)
+        expected = np.zeros(len(G), bool)
+        expected[kept] = lam * share[kept] > bound
+        assert inside[s] == feasible
+        assert uses[s].tolist() == expected.tolist()
+    return inside.tolist()
+
+
+class TestMembers:
+    def test_random_stacks_match_the_scalar_reference(self, rng, monkeypatch):
+        # zero rows, rows below the LP's tolerances, keep rows that leave
+        # every row out, m = 0, and stacks split into one kernel call per LP
+        import conescore.lp
+
+        for trial in range(80):
+            m, n, k = int(rng.integers(0, 8)), int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            G = random_cone_rows(rng, m + 1, n, trial % 3)[:m]
+            G[rng.random(len(G)) < 0.15] = 0.0
+            G[rng.random(len(G)) < 0.15] *= 1e-11
+            combos = rng.random((k, len(G))) @ G if len(G) else np.zeros((k, n))
+            X = np.where(rng.random((k, 1)) < 0.5, combos, rng.standard_normal((k, n)))
+            keep = rng.random((k, len(G))) < 0.7
+            keep[rng.random(k) < 0.2] = False
+            monkeypatch.setattr(conescore.lp, "_BATCH_CELLS", 1 if trial % 4 > 1 else 1 << 19)
+            members_match_the_scalar_reference(X, G, keep if trial % 2 else None)
 
 
 class TestPointedness:

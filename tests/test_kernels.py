@@ -158,9 +158,20 @@ def test_batch_kernel_matches_scalar_loop(rng, make, max_iter):
                 == batched(scalar_pivot_batch, T, basis, max_iter))
 
 
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 5000])
+@pytest.mark.parametrize("make", list(TABLEAUX.values()), ids=list(TABLEAUX))
+def test_batch_kernel_matches_scalar_loop_on_one_tableau(rng, make, max_iter):
+    # the pure kernel pivots a stack of one with pivot_loop's own loop
+    for _ in range(40):
+        T, basis = random_stack(rng, make, max_k=2)
+        assert (batched(_simplex_py.pivot_batch, T, basis, max_iter)
+                == batched(scalar_pivot_batch, T, basis, max_iter))
+
+
 def test_batch_kernel_matches_scalar_loop_on_non_finite_entries(rng):
-    for _ in range(100):
-        T, basis = random_stack(rng, tie_heavy_tableau)
+    for trial in range(150):
+        # a third of the stacks hold one tableau
+        T, basis = random_stack(rng, tie_heavy_tableau, 2 if trial % 3 == 0 else 7)
         u = rng.random(T.shape)
         T[u < 0.05] = np.nan
         T[u > 0.95] = np.inf
@@ -377,12 +388,11 @@ def test_batched_solver_results_match_kernels(rng, monkeypatch, compiled):
     from conescore import lp
 
     for _ in range(15):
-        T = np.zeros((5, 5, 11))
-        T[:, :4, :6] = rng.standard_normal((5, 4, 6))
-        T[:, :4, -1] = rng.standard_normal((5, 4))
+        G, X = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
+        keep = rng.random((5, 6)) < 0.7
         results = []
         for kernel in (compiled.pivot_batch, _simplex_py.pivot_batch):
             monkeypatch.setattr(lp, "pivot_batch", kernel)
-            feasible, x = lp._phase1_batch(T.copy(), np.full(5, 1e-8))
-            results.append((feasible.tolist(), x.tobytes()))
+            feasible, lam = lp._phase1_stack(G, X, np.full(5, 1e-8), keep)
+            results.append((feasible.tolist(), lam.tobytes()))
         assert results[0] == results[1]

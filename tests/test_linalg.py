@@ -102,6 +102,14 @@ class TestAffineHull:
         resid = project_complement(F - hull.anchor, hull.basis)
         assert np.max(np.abs(resid)) <= 10 * TOL.rank_tol
 
+    @pytest.mark.parametrize("F", [
+        [[1.7e308, 0.0], [1.7e308, 1.0]],  # the centroid's sum overflows
+        [[-1.7e308, 0.0], [1.7e308, 1.0], [1.7e308, 0.0]],  # the centred values do
+    ], ids=["centroid", "centred"])
+    def test_overflowing_centred_samples_are_an_input_error(self, F):
+        with pytest.raises(InputError, match="centred samples overflow"):
+            compute_affine_hull(np.array(F))
+
     def test_empty_errors(self):
         # a hull needs a sample; the space built from outside input refuses none
         with pytest.raises(InputError, match="samples must be nonempty"):

@@ -3,8 +3,14 @@ import pytest
 
 from conescore import GeneratorSet, NotPointedError, ResourceCapError, kernel_name
 from conescore.linalg import Tolerances
-from conescore.lp import _phase1_batch, find_strict_separator, phase1, solve_feasibility
+from conescore.lp import _phase1_stack, find_strict_separator, phase1, solve_feasibility
 from conftest import TOL, load_fixture, random_cone_rows
+
+
+def zero_combination(M):
+    """solve_feasibility for a convex combination of the rows of M that is
+    zero: a column of ones adds the row sum(lam) = 1."""
+    return solve_feasibility(np.c_[M, np.ones(len(M))], np.append(np.zeros(M.shape[1]), 1.0))
 
 
 def test_kernel_selected():
@@ -31,7 +37,7 @@ class TestSolveFeasibility:
 
     def test_convex_zero_combination_on_line(self):
         M = np.array([[2.0, 1.0], [-2.0, -1.0]])
-        res = solve_feasibility(M, np.zeros(2), sum_to_one=True)
+        res = zero_combination(M)
         assert res.feasible
         lam = res.witness
         assert np.all(lam >= -TOL.feas_tol)
@@ -41,7 +47,7 @@ class TestSolveFeasibility:
     def test_no_convex_zero_combination_in_halfplane(self):
         # both rows have x + y > 0, so no convex combination reaches 0
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
-        res = solve_feasibility(M, np.zeros(2), sum_to_one=True)
+        res = zero_combination(M)
         assert not res.feasible
         assert res.witness is None
 
@@ -72,33 +78,64 @@ class TestSolveFeasibility:
 
 
 class TestPhase1Batch:
+    @staticmethod
+    def _draw(rng, trial):
+        """Rows G, targets X, bounds and a keep mask (or None) of random
+        shapes, with ties, zero rows and zero targets on odd trials."""
+        k, m, n = (int(rng.integers(lo, hi)) for lo, hi in ((1, 6), (0, 14), (0, 12)))
+        G, X = rng.standard_normal((m, n)), rng.standard_normal((k, n))
+        if trial % 2:
+            G, X = np.round(G), np.round(X)
+        keep = rng.random((k, m)) < 0.7 if trial % 3 else None
+        return G, X, 10.0 ** rng.uniform(-9, 0, k), keep
+
     def test_each_lp_matches_phase1(self, rng):
-        # same tableau, same kernel operations: the same verdict and the same
-        # basic solution, bit for bit, at every shape including p = 0 or q = 0
+        # one tableau per target, the rows keep leaves out as zero columns:
+        # the verdict and basic solution of phase1 on that tableau, bit for
+        # bit, and of phase1 on the kept rows alone, at every shape
+        # including n = 0 or m = 0
         for trial in range(120):
-            k, p, q = (int(rng.integers(lo, hi)) for lo, hi in ((1, 6), (0, 12), (0, 14)))
-            A = rng.standard_normal((k, p, q))
-            b = rng.standard_normal((k, p))
-            if trial % 2:  # ties, zero rows and zero targets
-                A, b = np.round(A), np.round(b)
-            bound = 10.0 ** rng.uniform(-9, 0, k)
-            T = np.zeros((k, p + 1, q + p + 1))
-            T[:, :p, :q], T[:, :p, -1] = A, b
-            feasible, x = _phase1_batch(T, bound)
-            for s in range(k):
-                f, xs = phase1(A[s], b[s], Tolerances(feas_tol=bound[s]))
-                assert (f, xs.tobytes()) == (feasible[s], x[s].tobytes())
+            G, X, bound, keep = self._draw(rng, trial)
+            feasible, lam = _phase1_stack(G, X, bound, keep)
+            for s in range(len(X)):
+                kept = np.ones(len(G), bool) if keep is None else keep[s]
+                tol = Tolerances(feas_tol=bound[s])
+                f, x = phase1(np.where(kept, G.T, 0.0), X[s], tol)
+                assert (f, x.tobytes()) == (feasible[s], lam[s].tobytes())
+                f, x = phase1(G[kept].T, X[s], tol)
+                assert (f, x.tobytes()) == (feasible[s], lam[s, kept].tobytes())
+                assert not lam[s, ~kept].any()
+
+    def test_stacks_split_by_batch_cells_give_the_same_results(self, rng, monkeypatch):
+        import conescore.lp
+
+        depths = []
+        batch = conescore.lp.pivot_batch
+
+        def counting(T, *args):
+            depths.append(T.shape[0])
+            return batch(T, *args)
+
+        for trial in range(40):
+            G, X, bound, keep = self._draw(rng, trial)
+            whole = _phase1_stack(G, X, bound, keep)
+            # room for two tableaux per stack
+            cells = 2 * (G.shape[1] + 1) * (G.shape[0] + G.shape[1] + 1)
+            monkeypatch.setattr(conescore.lp, "_BATCH_CELLS", cells)
+            monkeypatch.setattr(conescore.lp, "pivot_batch", counting)
+            depths.clear()
+            split = _phase1_stack(G, X, bound, keep)
+            monkeypatch.undo()
+            assert depths == [2] * (len(X) // 2) + [1] * (len(X) % 2)
+            assert [a.tobytes() for a in split] == [a.tobytes() for a in whole]
 
     def test_iteration_cap_is_a_resource_cap(self, monkeypatch):
         import conescore.lp
 
         # one LP of three hits the cap, 50 (p + q) + 1000 pivots as in phase1
         monkeypatch.setattr(conescore.lp, "pivot_batch", lambda T, *args: [0, 1, 0])
-        T = np.zeros((3, 3, 5))
-        T[:, :2, :2] = np.eye(2)
-        T[:, :2, -1] = 1.0
         with pytest.raises(ResourceCapError, match="within 1200 pivots"):
-            _phase1_batch(T, np.full(3, 1e-8))
+            _phase1_stack(np.eye(2), np.ones((3, 2)), np.full(3, 1e-8))
 
 
 class TestStrictSeparator:
@@ -135,7 +172,7 @@ class TestStrictSeparator:
         for trial in range(30):
             G = random_cone_rows(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5)), trial % 3)
             W = GeneratorSet.from_rows(G)
-            lp1 = solve_feasibility(W.generators, np.zeros(W.dim), sum_to_one=True)
+            lp1 = zero_combination(W.generators)
             if lp1.feasible:
                 with pytest.raises(NotPointedError):
                     find_strict_separator(W.generators)

@@ -21,7 +21,6 @@ from conescore import (
     is_in_cone,
     is_pointed,
 )
-from conescore.cone import _in_cone
 from conescore.linalg import _pow2_rows, numeric_rank, orthonormal_basis
 from conescore.lp import find_strict_separator, solve_feasibility
 from conescore.ranks import _extreme_rows, csr_subspace, enclosing_simplex
@@ -31,6 +30,7 @@ from conftest import (
     random_cone_rows,
     random_pointed_rows,
     random_rotation,
+    scalar_member,
 )
 
 
@@ -43,31 +43,24 @@ def sequential_extreme_rows(W, tol, columns=None):
     idx = list(range(W.m))
     for i in range(W.m):
         others = [j for j in idx if j != i]
-        if others and _in_cone(G[i], C[others], tol):
+        if others and scalar_member(G[i], C[others], tol)[0]:
             idx.remove(i)
     return idx
 
 
 def count_membership_lps(monkeypatch):
-    """A list that grows by the number of membership LPs the ranks solve:
-    the depth of each stack handed to the batch kernel, and one per
-    ``ranks._in_cone`` call."""
+    """A list that grows by the depth of each stack handed to the batch
+    kernel: every membership LP goes through one, and no other LP does."""
     import conescore.lp
-    import conescore.ranks
 
     solved = []
-    batch, in_cone = conescore.lp.pivot_batch, conescore.ranks._in_cone
+    batch = conescore.lp.pivot_batch
 
     def counting_batch(T, *args):
         solved.append(T.shape[0])
         return batch(T, *args)
 
-    def counting_in_cone(*args):
-        solved.append(1)
-        return in_cone(*args)
-
     monkeypatch.setattr(conescore.lp, "pivot_batch", counting_batch)
-    monkeypatch.setattr(conescore.ranks, "_in_cone", counting_in_cone)
     return solved
 
 
@@ -324,9 +317,11 @@ class TestEnclosingSimplex:
         H = orthonormal_basis(hp.ambient_basis.T - np.outer(hp.ambient_basis.T @ (w / np.linalg.norm(w)), w / np.linalg.norm(w)))
         pts = x0 + rng.standard_normal((20, H.shape[1])) @ H.T
         verts = enclosing_simplex(pts, hp)
+        # u is a convex combination of the vertices: a column of ones adds
+        # the row sum(lam) = 1
+        rows = np.c_[verts, np.ones(len(verts))]
         for u in pts:
-            res = solve_feasibility(verts, u, sum_to_one=True)
-            assert res.feasible
+            assert solve_feasibility(rows, np.append(u, 1.0)).feasible
 
 
 class TestConeRank:

@@ -165,6 +165,13 @@ class TestConeContainment:
         W = fixture_generators("halfspace_2d.json")
         assert check_cone_subset(W, W)
 
+    def test_empty_cone_is_a_subset_of_its_own_dimension_only(self):
+        V = fixture_generators("halfspace_2d.json")
+        assert check_cone_subset(GeneratorSet.from_rows([], dim=2), V)
+        for W in (GeneratorSet.from_rows([], dim=3), GeneratorSet.from_rows([[1.0, 0.0, 0.0]])):
+            with pytest.raises(InputError, match="W has dim 3, V has dim 2"):
+                check_cone_subset(W, V)
+
     def test_generating_witness_equivalence_relation(self, rng):
         # reflexive + symmetric across observed witness pairs
         for _ in range(5):
