@@ -1,9 +1,11 @@
 """conescore: polyhedral-cone structure and minimal surrogate score design.
 
-Compute cone membership, pointedness, the lineality decomposition, and the
-three cone ranks of a generator matrix; use them to design minimal-dimension
-linear score functions S(f) = A f satisfying improvement and/or optimality
-objectives, with brute-force verification oracles and a JSON CLI.
+Compute cone membership, pointedness, the lineality decomposition, and any
+of the three cone ranks of a generator matrix (``cone_ranks``, one entry for
+every ``RankKind``); use them to design minimal-dimension linear score
+functions S(f) = A f satisfying improvement and/or optimality objectives,
+with brute-force verification oracles (``check_cone_subset`` for cone
+containment) and a JSON CLI.
 
 Outside input enters only through the objects exported here, and each is
 validated once, when it is built.
@@ -38,14 +40,10 @@ from .lp import kernel_name
 from .ranks import (
     RankKind,
     RankResult,
-    cone_generating_rank,
-    cone_rank,
     cone_ranks,
-    cone_subset_rank,
 )
 from .verify import (
     VerificationReport,
-    check_cone_equal,
     check_cone_subset,
     check_improvement,
     check_optimality,

@@ -81,7 +81,7 @@ def load_problem(path: str, as_csv: bool = False, csv_role: str = "metrics_sampl
                 doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
         raise InputError(f"malformed input file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("problem file must be a JSON object")
@@ -109,7 +109,7 @@ def load_problem(path: str, as_csv: bool = False, csv_role: str = "metrics_sampl
 
 
 def _mat(M: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(M)]
+    return np.atleast_2d(M).tolist()
 
 
 def _rank_payload(res: RankResult) -> dict:

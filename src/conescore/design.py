@@ -78,7 +78,9 @@ class MetricSpace:
 class ScoreDesign:
     """A k x d score matrix with its coefficient form V = A Z and provenance.
 
-    k, the score dimension, is read from A.
+    k, the score dimension, is read from A.  Every construction validates A
+    through ``as_matrix`` (a vector becomes one row), so the oracles get a
+    finite 2-D float array.
     """
 
     A: np.ndarray
@@ -88,6 +90,9 @@ class ScoreDesign:
     rank_used: RankResult | None
     minimality_certified: bool
     warnings: tuple[str, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "A", as_matrix(self.A, "design.A"))
 
     @property
     def k(self) -> int:
@@ -184,11 +189,11 @@ def _order_blocks(S: np.ndarray, eps: float, second, rows=None):
     For candidate row i = idx[a] and every row j of S, mask[a, j] =
     all(S[j] >= S[i] - eps) and second(i, j); second takes index arrays that
     broadcast and returns a boolean array of their shape, false where j = i
-    (as _ahead and _behind are).  Candidates are all rows, or the row indices
-    in rows, in order.  The >= test is built one coordinate at a time, and
-    second runs only on the pairs that pass it, unless more than 1/_DENSE of
-    the block's pairs do, when it runs on the whole block; so no block
-    allocates more than about _BLOCK_CELLS cells.
+    (as _ahead is).  Candidates are all rows, or the row indices in rows, in
+    order.  The >= test is built one coordinate at a time, and second runs
+    only on the pairs that pass it, unless more than 1/_DENSE of the block's
+    pairs do, when it runs on the whole block; so no block allocates more
+    than about _BLOCK_CELLS cells.
     """
     n, d = S.shape
     rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -217,15 +222,6 @@ def _ahead(cols: np.ndarray, i: np.ndarray, j: np.ndarray, eps: float) -> np.nda
     for col in cols:
         ahead |= col[j] > col[i] + eps
     return ahead
-
-
-def _behind(cols: np.ndarray, i: np.ndarray, j: np.ndarray, eps: float) -> np.ndarray:
-    """any(S[j] < S[i] - eps), the negation of all(S[j] >= S[i] - eps), for
-    index arrays i and j that broadcast, from the columns of S."""
-    behind = np.zeros(np.broadcast(i, j).shape, dtype=bool)
-    for col in cols:
-        behind |= col[j] < col[i] - eps
-    return behind
 
 
 def pareto_front(points, score=None, tol: Tolerances = DEFAULT_TOL) -> list[int]:

@@ -63,12 +63,12 @@ class AffineHull:
 def as_matrix(entries, name: str) -> np.ndarray:
     """Coerce input to a finite 2-D float array (a vector becomes one row).
 
-    Ragged, non-numeric, non-2-D or non-finite input raises InputError naming
-    ``name``.
+    Ragged, non-numeric, non-2-D or non-finite input, and integers beyond
+    the float range, raise InputError naming ``name``.
     """
     try:
         M = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{name}: not a numeric matrix ({exc})") from None
     if M.ndim == 1:
         M = M.reshape(1, -1)

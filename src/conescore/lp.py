@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NotPointedError, ResourceCapError
+from .errors import NotPointedError, ResourceCapError
 from .linalg import DEFAULT_TOL, Tolerances, _unit_rows, orthonormal_basis
 
 if os.environ.get("CONESCORE_PURE"):
@@ -165,14 +165,12 @@ def solve_feasibility(M: np.ndarray, target: np.ndarray,
 def find_strict_separator(W: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SeparatingHyperplane:
     """Hyperplane in span(W) strictly separating the origin from cone(W).
 
-    W is an m x n array of generator rows.  Generators are scaled to unit
-    length first; the returned normal w satisfies w . w_i >= 1 for every unit
-    generator, with offset b = 1/2.  Raises NotPointedError when no separator
-    exists (non-pointed cone).
+    W is an m x n array of nonzero generator rows.  Generators are scaled to
+    unit length first; the returned normal w satisfies w . w_i >= 1 for every
+    unit generator, with offset b = 1/2.  Raises NotPointedError when no
+    separator exists (non-pointed cone).
     """
-    U, norms = _unit_rows(W)
-    if np.any(norms <= tol.rank_tol):
-        raise InputError("separator requires nonzero generators")
+    U, _ = _unit_rows(W)
     B = orthonormal_basis(U, tol)  # n x r
     r = B.shape[1]
     m = U.shape[0]

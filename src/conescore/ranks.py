@@ -1,10 +1,11 @@
 """The three cone ranks of a generator matrix, with witness generator sets.
 
-- cone_subset_rank: fewest rows of W that regenerate K_W exactly
-- cone_generating_rank: fewest vectors anywhere that regenerate K_W exactly
-- cone_rank: fewest vectors whose cone merely encloses K_W
+- RankKind.CSR, the subset rank: fewest rows of W that regenerate K_W exactly
+- RankKind.CGR, the generating rank: fewest vectors anywhere that regenerate
+  K_W exactly
+- RankKind.CR, the cone rank: fewest vectors whose cone merely encloses K_W
 
-All three come from one pipeline, cone_ranks: one decomposition, one
+cone_ranks computes any subset of them in one pipeline: one decomposition, one
 extreme-ray elimination shared by CSR and CGR (one batch of membership LPs,
 pivoted as one stack of tableaux), and a separating hyperplane +
 enclosing simplex for CR.  The simplex witness is simplicial, so one linear
@@ -32,14 +33,7 @@ from .linalg import (
 )
 from .lp import SeparatingHyperplane, find_strict_separator
 
-__all__ = [
-    "RankKind",
-    "RankResult",
-    "cone_subset_rank",
-    "cone_generating_rank",
-    "cone_rank",
-    "cone_ranks",
-]
+__all__ = ["RankKind", "RankResult", "cone_ranks"]
 
 DEFAULT_MAX_LINEALITY_DIM = 6
 _MAX_SUBSETS = 2_000_000
@@ -100,7 +94,7 @@ def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
     G = W.generators
     m = W.m
     Gs, _ = _pow2_rows(G)
-    U = Gs / np.linalg.norm(Gs, axis=1, keepdims=True)
+    U, _ = _unit_rows(Gs)  # the unit rows of G, with norms that cannot overflow
     y = U.sum(axis=0)
     if not np.min(U @ y, initial=np.inf) > tol.cone_tol * np.linalg.norm(y):
         kept = np.ones(m, bool)
@@ -135,8 +129,9 @@ def csr_subspace(
     W: GeneratorSet,
     tol: Tolerances = DEFAULT_TOL,
     max_lineality_dim: int = DEFAULT_MAX_LINEALITY_DIM,
-) -> RankResult:
-    """Subset rank when cone(W) is the linear subspace span(W).
+) -> tuple[int, ...]:
+    """The rows of W, by position, of a smallest subset that positively
+    spans span(W), for a cone(W) that is the linear subspace span(W).
 
     Enumerates subsets of size t+1 .. 2t (t = rank), smallest first then
     lexicographic, accepting the first full-rank subset U whose negated sum
@@ -145,7 +140,7 @@ def csr_subspace(
     search has tried _MAX_SUBSETS subsets without an answer.
     """
     if W.m == 0:
-        return RankResult(RankKind.CSR, W, ())
+        return ()
     G = W.generators
     t = numeric_rank(G, tol)
     if t > max_lineality_dim:
@@ -158,7 +153,7 @@ def csr_subspace(
             raise ResourceCapError("lineality dimension too large")
         U = G[list(subset)]
         if numeric_rank(U, tol) == t and _members(-U.sum(axis=0, keepdims=True), U, tol)[0][0]:
-            return RankResult(RankKind.CSR, GeneratorSet(U), subset)
+            return subset
     raise InputError("generators do not positively span their span")
 
 
@@ -280,7 +275,7 @@ def cone_ranks(
     if RankKind.CSR in kinds or RankKind.CGR in kinds:
         extreme = _extreme_rows(P, tol)
     if RankKind.CSR in kinds:
-        chosen = sorted([inside[i] for i in sub.subset_indices] + [outside[i] for i in extreme])
+        chosen = sorted([inside[i] for i in sub] + [outside[i] for i in extreme])
         witness = GeneratorSet(W.generators[chosen])
         ranks[RankKind.CSR] = RankResult(RankKind.CSR, witness, tuple(chosen))
     if RankKind.CGR in kinds:
@@ -288,27 +283,3 @@ def cone_ranks(
     if RankKind.CR in kinds:
         ranks[RankKind.CR] = framed(RankKind.CR, _enclosing_rows(P, tol))
     return ranks
-
-
-def cone_subset_rank(
-    W: GeneratorSet,
-    tol: Tolerances = DEFAULT_TOL,
-    max_lineality_dim: int = DEFAULT_MAX_LINEALITY_DIM,
-) -> RankResult:
-    """Subset rank of an arbitrary cone: lineal part + pointed remnant."""
-    return cone_ranks(W, tol, max_lineality_dim, (RankKind.CSR,))[RankKind.CSR]
-
-
-def cone_generating_rank(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
-    """Fewest generators (from anywhere) regenerating K_W exactly.
-
-    Pointed cones: identical to the subset rank (extreme rays are forced).
-    Non-pointed: an (ell+1)-vector frame for the lineality space plus the
-    extreme rays of the projected pointed part.
-    """
-    return cone_ranks(W, tol, kinds=(RankKind.CGR,))[RankKind.CGR]
-
-
-def cone_rank(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> RankResult:
-    """Fewest vectors whose cone encloses K_W: r if pointed, r+1 otherwise."""
-    return cone_ranks(W, tol, kinds=(RankKind.CR,))[RankKind.CR]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import GeneratorSet, _members, _points
-from .design import Restriction, ScoreDesign, _ahead, _behind, _order_blocks, pareto_front
+from .design import Restriction, ScoreDesign, _ahead, _order_blocks, pareto_front
 from .errors import InputError
 from .linalg import AffineHull, DEFAULT_TOL, Tolerances, as_matrix
 
@@ -23,7 +23,6 @@ __all__ = [
     "check_improvement",
     "check_optimality",
     "check_restriction",
-    "check_cone_equal",
     "check_cone_subset",
 ]
 
@@ -66,11 +65,14 @@ def check_improvement(
     F = _samples(design, samples)
     S = F @ design.A.T
     cols = np.ascontiguousarray(F.T)
+    # not f_j >= f_i - eps is _ahead on -f, bit for bit: negation is exact
+    # and rounding is symmetric in sign, so -f_i + eps is -(f_i - eps)
+    neg = -cols
     eps = tol.cone_tol
     n = F.shape[0]
     violations = []
     # A f_j >= A f_i but not f_j >= f_i
-    for idx, bad in _order_blocks(S, eps, lambda i, j: _behind(cols, i, j, eps)):
+    for idx, bad in _order_blocks(S, eps, lambda i, j: _ahead(neg, i, j, eps)):
         a, j = np.divmod(np.flatnonzero(bad), n)  # sorted by (i, j)
         if a.size:
             rows = idx.tolist()  # one int object per row, shared by its pairs
@@ -140,12 +142,9 @@ def check_restriction(
 
 def check_cone_subset(W: GeneratorSet, V: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff K_W is contained in K_V (generator membership suffices).
-    InputError when the two cones have different dimensions."""
+    K_W = K_V exactly when both check_cone_subset(W, V) and
+    check_cone_subset(V, W) hold.  InputError when the two cones have
+    different dimensions."""
     if W.dim != V.dim:
         raise InputError(f"cone dims differ: W has dim {W.dim}, V has dim {V.dim}")
     return bool(_members(W.generators, V.generators, tol)[0].all())
-
-
-def check_cone_equal(W: GeneratorSet, V: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff K_W = K_V (mutual generator membership)."""
-    return check_cone_subset(W, V, tol) and check_cone_subset(V, W, tol)

@@ -14,13 +14,12 @@ from conescore import (
     GeneratorSet,
     MetricSpace,
     Objective,
+    RankKind,
     Restriction,
     ScoreDesign,
     check_improvement,
     check_optimality,
-    cone_generating_rank,
-    cone_rank,
-    cone_subset_rank,
+    cone_ranks,
     decompose,
     design_score,
     is_in_cone,
@@ -41,9 +40,9 @@ from conftest import (
 
 def all_three(W):
     return (
-        cone_subset_rank(W).value,
-        cone_generating_rank(W).value,
-        cone_rank(W).value,
+        cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR].value,
+        cone_ranks(W, kinds=(RankKind.CGR,))[RankKind.CGR].value,
+        cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR].value,
     )
 
 
@@ -105,7 +104,7 @@ def test_criterion_04_cone_rank_closed_form(ensemble_300):
     for W in ensemble_300:
         r = numeric_rank(W.generators)
         expected = r if is_pointed(W) else r + 1
-        assert cone_rank(W).value == expected
+        assert cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR].value == expected
     assert time.monotonic() - t0 < 60.0
 
 

@@ -22,15 +22,11 @@ PUBLIC = [
     "Tolerances",
     "VerificationError",
     "VerificationReport",
-    "check_cone_equal",
     "check_cone_subset",
     "check_improvement",
     "check_optimality",
     "check_restriction",
-    "cone_generating_rank",
-    "cone_rank",
     "cone_ranks",
-    "cone_subset_rank",
     "decompose",
     "design_score",
     "is_in_cone",

@@ -495,6 +495,8 @@ MALFORMED = {
     "3d-matrix": (lambda c: _with_matrix(c, [[[1.0]], [[2.0]]]), 2),
     "missing-keys": (lambda c: {}, 2),
     "relint-string": (lambda c: {**VALID, "assert_relint_nonempty": "false"}, 2),
+    # a JSON integer literal beyond the float range
+    "int-overflow": (lambda c: _with_matrix(c, [[10**400, 1], [0, 1]]), 2),
     "cone-at-1e8": (lambda c: {**VALID, "generators": BIG.tolist(),
                                "metrics_samples": BIG.tolist()}, 0),
 }
@@ -517,6 +519,17 @@ def test_exit_code_contract(tmp_path, capsys, command, case):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     else:
         assert lines == []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    # json.load recurses once per nesting level; json.dumps cannot write this
+    code, res = run(tmp_path, command, "[" * 100_000 + "]" * 100_000)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert res is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed input file")
 
 
 @pytest.mark.parametrize("command", ["decompose", "design", "verify"])

@@ -13,8 +13,8 @@ import conescore
 from conescore import (
     GeneratorSet,
     InputError,
-    cone_rank,
-    cone_subset_rank,
+    RankKind,
+    cone_ranks,
     decompose,
     is_in_cone,
     is_pointed,
@@ -52,6 +52,8 @@ class TestGeneratorSet:
             GeneratorSet.from_rows(np.ones((2, 2, 3)))
         with pytest.raises(InputError, match="finite"):
             GeneratorSet.from_rows([[1.0, np.nan]])
+        with pytest.raises(InputError, match="not a numeric matrix"):
+            GeneratorSet.from_rows([[10**400, 1]])  # an int beyond the float range
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_generator_is_an_input_error(self, bad):
@@ -227,8 +229,9 @@ class TestPointedness:
             W = GeneratorSet.from_rows(np.vstack([G, 1e-10 * G[int(g.integers(len(G)))]]))
             assert decompose(W).ell == 0
             assert is_pointed(W)
-            assert len(G) not in cone_subset_rank(W).subset_indices
-            assert cone_rank(W).value == d
+            csr = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
+            assert len(G) not in csr.subset_indices
+            assert cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR].value == d
 
 
 class TestDecompose:

@@ -4,7 +4,7 @@
 module-level function whose name has no leading underscore and checks that
 every ``lp.phase1`` call came through ``lp.solve_feasibility``.  Renaming a
 helper or changing what it returns can break ``--trace 1`` without breaking
-any other test, so a short traced run of two workloads is part of the suite.
+any other test, so a short traced run of each workload is part of the suite.
 """
 
 import json
@@ -18,7 +18,7 @@ RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
 @pytest.mark.skipif(not RUN.is_file(), reason="needs a source checkout")
-@pytest.mark.parametrize("workload", ["rank-all", "design-both"])
+@pytest.mark.parametrize("workload", ["rank-all", "design-both", "verify-reject"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload,

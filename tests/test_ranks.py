@@ -11,12 +11,8 @@ from conescore import (
     RankKind,
     ResourceCapError,
     VerificationError,
-    check_cone_equal,
     check_cone_subset,
-    cone_generating_rank,
-    cone_rank,
     cone_ranks,
-    cone_subset_rank,
     decompose,
     is_in_cone,
     is_pointed,
@@ -125,18 +121,21 @@ def test_uncertified_cone_is_scanned_row_by_row(monkeypatch):
 
 class TestCsrPointed:
     def test_duplicate_ray(self):
-        res = cone_subset_rank(fixture_generators("ray_2d.json"))
+        W = fixture_generators("ray_2d.json")
+        res = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
         assert res.value == 1
         assert res.relation == "equal"
         assert res.subset_indices in ((0,), (1,))
 
     def test_boundary_rays_survive(self):
-        res = cone_subset_rank(GeneratorSet.from_rows([[2.0, 1.0], [-2.0, 1.0], [1.0, 2.0]]))
+        W = GeneratorSet.from_rows([[2.0, 1.0], [-2.0, 1.0], [1.0, 2.0]])
+        res = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
         assert res.value == 2
         assert res.subset_indices == (0, 1)
 
     def test_square_cone_all_extreme(self):
-        res = cone_subset_rank(fixture_generators("square_cone_generators.json"))
+        W = fixture_generators("square_cone_generators.json")
+        res = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
         assert res.value == 4
         assert res.subset_indices == (0, 1, 2, 3)
 
@@ -146,7 +145,7 @@ class TestCsrPointed:
         G = random_pointed_rows(rng, 8, 3)
         G = np.vstack([G, 3.0 * G[2], rng.random(8) @ G])
         W = GeneratorSet.from_rows(G)
-        res = cone_subset_rank(W)
+        res = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
         V = res.witness.generators
         for drop in range(res.value):
             reduced = GeneratorSet.from_rows(np.delete(V, drop, axis=0), dim=W.dim)
@@ -158,26 +157,22 @@ class TestCsrPointed:
         G = np.vstack([2.0 * G[1], G, rng.random(6) @ G, G[4]])
         solved = count_membership_lps(monkeypatch)
         W = GeneratorSet.from_rows(G)
-        res = cone_subset_rank(W)
+        res = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
         assert 0 < sum(solved) <= W.m
         assert res.value < W.m - 2
 
 
 class TestCsrSubspace:
     def test_line_needs_two(self):
-        res = csr_subspace(fixture_generators("line_2d.json"))
-        assert res.value == 2
+        assert csr_subspace(fixture_generators("line_2d.json")) == (0, 1)
 
     def test_plane_needs_all_four(self):
         # every 3-subset of the four diagonal directions spans a halfplane only
-        res = csr_subspace(fixture_generators("plane_2d.json"))
-        assert res.value == 4
+        assert csr_subspace(fixture_generators("plane_2d.json")) == (0, 1, 2, 3)
 
     def test_three_suffice_with_redundant_row(self):
         W = GeneratorSet.from_rows([[1, 0], [0, 1], [-1, -1], [5, 5]])
-        res = csr_subspace(W)
-        assert res.value == 3
-        assert res.subset_indices == (0, 1, 2)
+        assert csr_subspace(W) == (0, 1, 2)
 
     def test_enumeration_cap(self):
         big = np.vstack([np.eye(7), -np.eye(7)])
@@ -192,7 +187,7 @@ class TestCsrSubspace:
         assert [ranks[k].value for k in RankKind] == [7, 7, 7]
         assert ranks[RankKind.CSR].subset_indices == (0, 1, 2, 3, 7, 19, 25)
         monkeypatch.setattr("conescore.ranks._MAX_SUBSETS", 1011)
-        assert csr_subspace(W).subset_indices == (0, 1, 2, 3, 7, 19, 25)
+        assert csr_subspace(W) == (0, 1, 2, 3, 7, 19, 25)
         for cap in (1010, 10):
             monkeypatch.setattr("conescore.ranks._MAX_SUBSETS", cap)
             with pytest.raises(ResourceCapError, match="lineality dimension too large"):
@@ -202,17 +197,19 @@ class TestCsrSubspace:
 class TestConeSubsetRank:
     def test_pointed_delegates(self):
         W = fixture_generators("square_cone_generators.json")
-        res = cone_subset_rank(W)
+        res = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
         assert res.value == 4
         assert res.subset_indices == tuple(_extreme_rows(W, TOL))
 
     def test_5d_example(self):
-        res = cone_subset_rank(fixture_generators("nonpointed_5d_generators.json"))
+        W = fixture_generators("nonpointed_5d_generators.json")
+        res = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
         assert res.value == 8
         assert res.subset_indices == tuple(range(8))
 
     def test_halfspace(self):
-        res = cone_subset_rank(fixture_generators("halfspace_2d.json"))
+        W = fixture_generators("halfspace_2d.json")
+        res = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
         assert res.value == 3
         assert res.relation == "equal"
 
@@ -220,8 +217,8 @@ class TestConeSubsetRank:
         for trial in range(10):
             G = random_cone_rows(rng, 7, 3, trial % 3)
             W = GeneratorSet.from_rows(G)
-            res = cone_subset_rank(W)
-            assert check_cone_equal(W, res.witness)
+            res = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR]
+            assert check_cone_subset(W, res.witness) and check_cone_subset(res.witness, W)
             # witness rows really are rows of W
             for i, idx in enumerate(res.subset_indices):
                 assert np.allclose(res.witness.generators[i], W.generators[idx])
@@ -229,46 +226,51 @@ class TestConeSubsetRank:
 
 class TestConeGeneratingRank:
     def test_5d_example(self):
-        res = cone_generating_rank(fixture_generators("nonpointed_5d_generators.json"))
+        W = fixture_generators("nonpointed_5d_generators.json")
+        res = cone_ranks(W, kinds=(RankKind.CGR,))[RankKind.CGR]
         assert res.value == 7
         assert res.relation == "equal"
 
     def test_full_plane_frame(self):
-        res = cone_generating_rank(fixture_generators("plane_2d.json"))
+        W = fixture_generators("plane_2d.json")
+        res = cone_ranks(W, kinds=(RankKind.CGR,))[RankKind.CGR]
         assert res.value == 3
 
     def test_square_cone(self):
-        assert cone_generating_rank(fixture_generators("square_cone_generators.json")).value == 4
+        W = fixture_generators("square_cone_generators.json")
+        assert cone_ranks(W, kinds=(RankKind.CGR,))[RankKind.CGR].value == 4
 
     def test_witness_exact(self, rng):
         for trial in range(10):
             G = random_cone_rows(rng, 6, 3, trial % 3)
             W = GeneratorSet.from_rows(G)
-            res = cone_generating_rank(W)
-            assert check_cone_equal(W, res.witness)
+            res = cone_ranks(W, kinds=(RankKind.CGR,))[RankKind.CGR]
+            assert check_cone_subset(W, res.witness) and check_cone_subset(res.witness, W)
 
     def test_pointed_matches_subset_rank(self, rng):
         for _ in range(8):
             W = GeneratorSet.from_rows(random_pointed_rows(rng, 7, 4))
-            assert cone_generating_rank(W).value == cone_subset_rank(W).value
+            cgr = cone_ranks(W, kinds=(RankKind.CGR,))[RankKind.CGR]
+            assert cgr.value == cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR].value
 
 
 class TestCrPointed:
     def test_square_cone_triangle(self):
         W = fixture_generators("square_cone_generators.json")
-        res = cone_rank(W)
+        res = cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR]
         assert res.value == 3
         assert res.relation == "encloses"
         assert check_cone_subset(W, res.witness)
 
     def test_single_ray(self):
-        res = cone_rank(GeneratorSet.from_rows([[2.0, 1.0]]))
+        W = GeneratorSet.from_rows([[2.0, 1.0]])
+        res = cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR]
         assert res.value == 1
         assert np.allclose(res.witness.generators[0], [2.0, 1.0])
 
     def test_random_3d(self, rng):
         W = GeneratorSet.from_rows(random_pointed_rows(rng, 6, 3))
-        res = cone_rank(W)
+        res = cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR]
         assert res.value == numeric_rank(W.generators)
         assert check_cone_subset(W, res.witness)
 
@@ -326,13 +328,16 @@ class TestEnclosingSimplex:
 
 class TestConeRank:
     def test_square_cone(self):
-        assert cone_rank(fixture_generators("square_cone_generators.json")).value == 3
+        W = fixture_generators("square_cone_generators.json")
+        assert cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR].value == 3
 
     def test_line(self):
-        assert cone_rank(fixture_generators("line_2d.json")).value == 2
+        W = fixture_generators("line_2d.json")
+        assert cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR].value == 2
 
     def test_5d(self):
-        res = cone_rank(fixture_generators("nonpointed_5d_generators.json"))
+        W = fixture_generators("nonpointed_5d_generators.json")
+        res = cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR]
         assert res.value == 6
         assert res.relation == "encloses"
 
@@ -341,9 +346,9 @@ class TestConeRank:
             G = random_cone_rows(rng, int(rng.integers(2, 10)), int(rng.integers(2, 6)), trial % 3)
             W = GeneratorSet.from_rows(G)
             r = numeric_rank(W.generators)
-            csr = cone_subset_rank(W).value
-            cgr = cone_generating_rank(W).value
-            cr = cone_rank(W).value
+            csr = cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR].value
+            cgr = cone_ranks(W, kinds=(RankKind.CGR,))[RankKind.CGR].value
+            cr = cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR].value
             assert W.m >= csr >= cgr >= cr >= r
             assert cr == r + (0 if is_pointed(W) else 1)
 
@@ -351,7 +356,7 @@ class TestConeRank:
         for trial in range(8):
             G = random_cone_rows(rng, 6, 4, trial % 3)
             W = GeneratorSet.from_rows(G)
-            res = cone_rank(W)
+            res = cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR]
             assert check_cone_subset(W, res.witness)
 
 
@@ -375,7 +380,7 @@ class TestCrCertificate:
         verdicts = set()
         for trial in range(40):
             W = self._random_cone(rng, trial)
-            V = cone_rank(W).witness.generators
+            V = cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR].witness.generators
             B = orthonormal_basis(V)
             for shrink in (1.0, 0.5):
                 # halving the simplex about its centroid drops rows out of it
@@ -417,7 +422,7 @@ class TestCrCertificate:
 
         monkeypatch.setattr(conescore.ranks, "enclosing_simplex", shrunk)
         with pytest.raises(VerificationError, match="does not contain a generator"):
-            cone_rank(fixture_generators("square_cone_generators.json"))
+            cone_ranks(fixture_generators("square_cone_generators.json"), kinds=(RankKind.CR,))
 
     def test_rank_one_witness_is_certified(self):
         # numeric rank 1 (the threshold scales with the largest singular
@@ -426,11 +431,11 @@ class TestCrCertificate:
         assert numeric_rank(W.generators) == 1
         assert not is_in_cone(W.generators[1], GeneratorSet.from_rows(W.generators[:1]))
         with pytest.raises(VerificationError, match="does not contain a generator"):
-            cone_rank(W)
+            cone_ranks(W, kinds=(RankKind.CR,))
 
     def test_rank_one_witness_is_the_first_row(self):
         G = np.array([[2.0, 1.0, 0.0], [4.0, 2.0, 0.0], [0.2, 0.1, 0.0]])
-        res = cone_rank(GeneratorSet.from_rows(G))
+        res = cone_ranks(GeneratorSet.from_rows(G), kinds=(RankKind.CR,))[RankKind.CR]
         assert res.value == 1
         np.testing.assert_array_equal(res.witness.generators, G[:1])
 
@@ -450,7 +455,7 @@ class TestCrCertificate:
         # decompose ignores the +-1e-9 rows; CR must not separate them
         W = GeneratorSet.from_rows([[0.0, 1.0], [1e-9, 0.0], [-1e-9, 0.0]])
         assert decompose(W).ell == 0
-        res = cone_rank(W)
+        res = cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR]
         assert res.value == 1
         np.testing.assert_array_equal(res.witness.generators, [[0.0, 1.0]])
 
@@ -460,24 +465,26 @@ def test_basis_invariance_small(rng):
         G = random_cone_rows(rng, 6, 3, trial % 3)
         W = GeneratorSet.from_rows(G)
         vals = (
-            cone_subset_rank(W).value,
-            cone_generating_rank(W).value,
-            cone_rank(W).value,
+            cone_ranks(W, kinds=(RankKind.CSR,))[RankKind.CSR].value,
+            cone_ranks(W, kinds=(RankKind.CGR,))[RankKind.CGR].value,
+            cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR].value,
         )
         Q = random_rotation(rng, 3)
         WQ = GeneratorSet.from_rows(G @ Q)
         assert vals == (
-            cone_subset_rank(WQ).value,
-            cone_generating_rank(WQ).value,
-            cone_rank(WQ).value,
+            cone_ranks(WQ, kinds=(RankKind.CSR,))[RankKind.CSR].value,
+            cone_ranks(WQ, kinds=(RankKind.CGR,))[RankKind.CGR].value,
+            cone_ranks(WQ, kinds=(RankKind.CR,))[RankKind.CR].value,
         )
 
 
 def test_rank_kinds_tagged():
     W = fixture_generators("wedge_2d.json")
-    assert cone_subset_rank(W).kind is RankKind.CSR
-    assert cone_generating_rank(W).kind is RankKind.CGR
-    assert cone_rank(W).kind is RankKind.CR
+    for kind in RankKind:
+        res = cone_ranks(W, kinds=(kind,))[kind]
+        assert res.kind is kind
+    for kind, res in cone_ranks(W).items():
+        assert res.kind is kind
 
 
 class TestConeRanks:
@@ -526,11 +533,6 @@ class TestConeRanks:
         )
 
 
-SINGLE_KIND = {
-    RankKind.CSR: cone_subset_rank,
-    RankKind.CGR: cone_generating_rank,
-    RankKind.CR: cone_rank,
-}
 KIND_SUBSETS = [
     kinds for size in range(1, 4) for kinds in itertools.combinations(tuple(RankKind), size)
 ]
@@ -550,15 +552,17 @@ KIND_SUBSETS = [
     ],
 )
 def test_cone_ranks_match_single_kinds(name):
+    # each kind computed alone is the reference for every subset of kinds
     W = fixture_generators(name)
-    single = {kind: rank(W) for kind, rank in SINGLE_KIND.items()}
+    single = {kind: cone_ranks(W, kinds=(kind,))[kind] for kind in RankKind}
     for kinds in KIND_SUBSETS:
         ranks = cone_ranks(W, kinds=kinds)
         assert tuple(ranks) == kinds
         for kind, res in ranks.items():
             ref = single[kind]
-            assert (res.kind, res.value, res.subset_indices, res.relation) == (
-                ref.kind, ref.value, ref.subset_indices, ref.relation)
+            assert res.kind is ref.kind is kind
+            assert (res.value, res.subset_indices, res.relation) == (
+                ref.value, ref.subset_indices, ref.relation)
             np.testing.assert_array_equal(res.witness.generators, ref.witness.generators)
 
 

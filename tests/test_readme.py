@@ -27,9 +27,9 @@ def test_quickstart_states_what_it_computes():
         else:
             exec(compile(ast.Module([stmt], []), "README", "exec"), ns)
 
-    pointed, csr, cr, cgr, (k, A), passed = shown
+    pointed, csr, cgr, cr, (k, A), passed = shown
     assert pointed is False
-    assert (csr, cr, cgr) == (3, 3, 3)
+    assert (csr, cgr, cr) == (3, 3, 3)
     assert cr == numeric_rank(ns["W"].generators) + 1
     assert k == 1
     np.testing.assert_array_equal(A, [[0.0, 1.0]])
