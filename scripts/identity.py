@@ -10,7 +10,8 @@ and runs one fixed corpus through ``conescore.cli.main`` in each tree with
 each kernel (the python kernel only when the compiled one does not build
 in both trees).  The corpus is every fixture x command x objective x
 restriction x tolerance set, the fixtures scaled to max|x| from 1e-300 to
-1.7e308, and the four ``perfbench`` pools at seeds 5 and 11, all with
+1.7e308, the four ``perfbench`` pools at seeds 5 and 11, and ``design``
+and ``verify`` on grid samples of ORACLE_SIZES rows, all with
 ``--reproducible``; ``--every K`` keeps every K-th case.  A case that runs
 longer than CASE_SECONDS (some inputs never finish, some of them inside
 native code that no signal interrupts) is stopped by killing its worker
@@ -57,6 +58,7 @@ RANKS = [("rank", "--kind", kind) for kind in ("csr", "cgr", "cr", "all")]
 DESIGNS = [("design", "--objective", o, "--restriction", r)
            for o in ("improvement", "optimality", "both") for r in ("res-cs", "res-lm", "res-l")]
 COMMANDS = [("decompose",), *RANKS, *DESIGNS, ("verify",)]
+ORACLE_SIZES = (1023, 1025, 2100)
 
 
 def label(argv) -> str:
@@ -88,6 +90,19 @@ def corpus() -> list[tuple[str, dict, list[str]]]:
         for w in WORKLOADS.values():
             for i, inst in enumerate(w.make_pool(seed, w.pool_size)):
                 cases.append((f"{w.name}@{seed}#{i}", inst.doc, list(inst.argv)))
+    # the oracles past one column tile of 1024 rows: half-integer grid
+    # samples near a chain in R^3, so few pairs break improvement, under a
+    # designed score, a mixed-sign A and one row (about half of all pairs in
+    # the score's >= order)
+    rng = np.random.default_rng(0)
+    for n in ORACLE_SIZES:
+        F = rng.integers(0, n // 4, size=(n, 1)) / 2 + rng.integers(0, 2, size=(n, 3)) / 2
+        doc = {"schema_version": 1, "metrics_samples": F.tolist()}
+        cases.append((f"grid{n}:{label(DESIGNS[-2])}", doc, [*DESIGNS[-2], "--reproducible"]))
+        cases.append((f"grid{n}:verify", {**doc, "design": {"A": [[1, -1, 0], [0, 1, 1]]}},
+                      ["verify", "--reproducible"]))
+    cases.append((f"grid{n}:verify:one-row", {**doc, "design": {"A": [[1, 1, 1]]}},
+                  ["verify", "--reproducible"]))
     return cases
 
 

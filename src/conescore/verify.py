@@ -1,10 +1,11 @@
 """Brute-force verification oracles for score designs and cone witnesses.
 
-These are deliberately independent of the design algorithms: pairwise scans
-over the sample set for the two objectives, LP membership for cone
-containment.  Componentwise comparisons carry cone_tol slack on both sides of
-each implication; dominance additionally needs one coordinate ahead by more
-than cone_tol (so duplicate score rows simply create ties, never dominance).
+These are deliberately independent of the design algorithms: every ordered
+sample pair is decided for the two objectives (as bitsets, see
+design._order), LP membership for cone containment.  Componentwise
+comparisons carry cone_tol slack on both sides of each implication;
+dominance additionally needs one coordinate ahead by more than cone_tol (so
+duplicate score rows simply create ties, never dominance).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import GeneratorSet, _members, _points
-from .design import Restriction, ScoreDesign, _ahead, _order_blocks, pareto_front
+from .design import Restriction, ScoreDesign, _TILE, _order, _pairs, pareto_front
 from .errors import InputError
 from .linalg import AffineHull, DEFAULT_TOL, Tolerances, as_matrix
 
@@ -64,25 +65,16 @@ def check_improvement(
     """Score order must imply metric order on every ordered sample pair."""
     F = _samples(design, samples)
     S = F @ design.A.T
-    cols = np.ascontiguousarray(F.T)
-    # not f_j >= f_i - eps is _ahead on -f, bit for bit: negation is exact
-    # and rounding is symmetric in sign, so -f_i + eps is -(f_i - eps)
-    neg = -cols
     eps = tol.cone_tol
     n = F.shape[0]
     violations = []
     # A f_j >= A f_i but not f_j >= f_i
-    for idx, bad in _order_blocks(S, eps, lambda i, j: _ahead(neg, i, j, eps)):
-        a, j = np.divmod(np.flatnonzero(bad), n)  # sorted by (i, j)
-        if a.size:
-            rows = idx.tolist()  # one int object per row, shared by its pairs
-            pairs = zip(map(rows.__getitem__, a.tolist()), j.tolist())
-            violations.extend(zip(pairs, (_lead(cols, idx[a], j) - eps).tolist()))
-    return VerificationReport(
-        checked_pairs=n * (n - 1),
-        violations=tuple(violations),
-        check_name="improvement",
-    )
+    bad = lambda j0, idx: _order(S, j0, idx, eps, False) & ~_order(F, j0, idx, eps, False)
+    for i, j in _pairs(n, np.arange(n), bad):
+        violations.extend(zip(zip(i.tolist(), j.tolist()), (_lead(F.T, i, j) - eps).tolist()))
+    if n > _TILE:  # the pairs came a column tile at a time
+        violations.sort()
+    return VerificationReport(n * (n - 1), tuple(violations), "improvement")
 
 
 def check_optimality(
@@ -95,21 +87,14 @@ def check_optimality(
     """
     F = _samples(design, samples)
     front_s = pareto_front(F, design.A, tol)
-    cols = np.ascontiguousarray(F.T)
-    eps = tol.cone_tol
-    n = F.shape[0]
-    violations = []
-    for idx, dominated in _order_blocks(F, eps, lambda i, j: _ahead(cols, i, j, eps), front_s):
-        a, j = np.divmod(np.flatnonzero(dominated), n)
-        if a.size:
-            rows, starts = np.unique(a, return_index=True)
-            lead = np.maximum.reduceat(_lead(cols, j, idx[a]), starts)
-            violations.extend(zip(idx[rows].tolist(), lead.tolist()))
-    return VerificationReport(
-        checked_pairs=len(front_s),
-        violations=tuple(violations),
-        check_name="optimality",
-    )
+    lead = np.full(len(F), -np.inf)
+    dominated = lambda j0, idx: _order(F, j0, idx, tol.cone_tol, True)
+    for i, j in _pairs(len(F), np.array(front_s, dtype=np.intp), dominated):
+        np.maximum.at(lead, i, _lead(F.T, j, i))
+    # a dominator is ahead in some coordinate, so its lead is positive
+    flagged = np.flatnonzero(lead > 0)
+    violations = tuple(zip(flagged.tolist(), lead[flagged].tolist()))
+    return VerificationReport(len(front_s), violations, "optimality")
 
 
 def check_restriction(

@@ -22,7 +22,7 @@ from conescore import (
     design_score,
     pareto_front,
 )
-from conescore.design import _BLOCK_CELLS
+from conescore.design import _TILE, _order
 from conescore.lp import solve_feasibility
 from conftest import TOL, fixture_generators, l1_ball_samples, linf_grid, load_fixture
 
@@ -286,7 +286,11 @@ def with_ties(rng, base, eps):
 
 
 def assert_oracles_match(F, A):
-    space, design = manual_design(A, F)
+    # the oracles read A alone, so no affine hull of F is needed (its SVD
+    # rejects samples whose centred values overflow)
+    A = np.atleast_2d(np.asarray(A, float))
+    design = ScoreDesign(A=A, restriction=Restriction.RES_L, objective=Objective.BOTH,
+                         V=A, rank_used=None, minimality_certified=False)
     assert pareto_front(F) == reference_pareto_front(F)
     assert pareto_front(F, design.A) == reference_pareto_front(F, design.A)
     for check, reference in ((check_improvement, reference_improvement),
@@ -306,18 +310,17 @@ class TestOraclesMatchReference:
         # a coarse grid makes many exact ties before the offsets are added
         base = np.round(rng.standard_normal((self.N_BASE, d)) * 2) / 2
         F = with_ties(rng, base, TOL.cone_tol)
-        assert len(F) > 3 * (_BLOCK_CELLS // len(F))  # at least 3 row blocks
         assert_oracles_match(F, rng.standard_normal((k, d)))
         assert_oracles_match(F, np.eye(d))
 
     def test_score_front_of_dominated_points(self, rng):
         # the score -I puts the shrunk copies on its front; every one of them
-        # is dominated raw, so optimality flags rows across several blocks
+        # is dominated raw, so optimality flags many rows
         u = np.abs(rng.standard_normal((self.N_BASE // 2, 3)))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         F = with_ties(rng, np.vstack([u, 0.5 * u]), TOL.cone_tol)
         rep = check_optimality(manual_design(-np.eye(3), F)[1], F)
-        assert len(rep.violations) > 3 * (_BLOCK_CELLS // len(F))
+        assert len(rep.violations) > self.N_BASE // 4
         assert_oracles_match(F, -np.eye(3))
 
     def test_single_point(self):
@@ -336,15 +339,53 @@ def test_oracles_match_reference_on_small_grids(seed, d, m):
     assert_oracles_match(F, A)
 
 
-# _DENSE = 0 never tests a whole block; _DENSE = _BLOCK_CELLS always does
-# when any pair of a block of at most _BLOCK_CELLS cells passes
-@pytest.mark.parametrize("dense", [0, _BLOCK_CELLS], ids=["pairs-only", "whole-blocks-only"])
-def test_both_block_tests_match_reference(rng, monkeypatch, dense):
-    # a block tests its second condition on its passing pairs or on every
-    # cell, as its pass count decides; forced either way, reports are equal
-    monkeypatch.setattr(conescore.design, "_DENSE", dense)
+# _PAIR_BITS = 1 unpacks one candidate row's pairs at a time;
+# _TILE * _TILE unpacks a whole block's relation at once
+@pytest.mark.parametrize("pair_bits", [1, _TILE * _TILE], ids=["pairs-only", "whole-blocks-only"])
+def test_both_block_tests_match_reference(rng, monkeypatch, pair_bits):
+    # a block's pairs come out row by row or all at once, as _PAIR_BITS
+    # decides; forced either way, reports are equal. The score shapes: one
+    # row (about half of all pairs in the >= order), mixed signs, a negated
+    # order, and k = 0, where every pair is in the >= order
+    monkeypatch.setattr(conescore.design, "_PAIR_BITS", pair_bits)
     F = with_ties(rng, np.round(rng.standard_normal((200, 3)) * 2) / 2, TOL.cone_tol)
     for A in (np.ones((1, 3)), rng.standard_normal((2, 3)), -np.eye(3), np.zeros((0, 3))):
+        assert_oracles_match(F, A)
+
+
+# a column tile and a block of candidate rows are _TILE rows, so these sizes
+# end a tile one row early, exactly, one row late, and one row into a third
+@pytest.mark.parametrize("n", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1])
+def test_oracles_match_reference_across_tiles(rng, n):
+    # samples near a chain keep the pairs that break improvement few while
+    # dominators and violating pairs fall in every tile; one score row puts
+    # about half of all pairs in the >= order
+    t = rng.integers(0, n // 4, size=(n, 1)) / 2
+    F = with_ties(rng, t + rng.integers(0, 2, size=(n, 3)) / 2, TOL.cone_tol)[:n]
+    assert_oracles_match(F, [[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])
+    assert_oracles_match(F, [[1.0, 1.0, 1.0]])
+
+
+def test_order_of_non_finite_scores_matches_the_pair_scan(rng):
+    # NaN compares false with everything, so a NaN row is in no set and has
+    # an empty one, though argsort puts NaN last, inside every suffix
+    eps = TOL.cone_tol
+    S = rng.choice([np.nan, np.inf, -np.inf, 0.0, eps, -1.0, 1.0], size=(150, 3))
+    unpack = lambda b: np.unpackbits(b.view(np.uint8), axis=1, bitorder="little")[:, :150]
+    geq = np.all(S >= S[:, None] - eps, axis=2)
+    assert np.array_equal(unpack(_order(S, 0, np.arange(150), eps, False)), geq)
+    dominated = geq & np.any(S > S[:, None] + eps, axis=2)
+    assert np.array_equal(unpack(_order(S, 0, np.arange(150), eps, True)), dominated)
+
+
+def test_oracles_match_reference_on_overflowing_scores(rng):
+    # finite samples whose scores overflow to inf and -inf (whether a dot
+    # product of both gives NaN depends on how the BLAS sums it)
+    F = rng.choice([-1.5e308, -1.0, 0.0, 1.0, 1.5e308], size=(120, 2))
+    A = np.array([[2.0, 2.0], [1.0, -1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = F @ A.T
+        assert np.isposinf(S).any() and np.isneginf(S).any()
         assert_oracles_match(F, A)
 
 
@@ -364,6 +405,13 @@ class TestOracleMemory:
     def test_scans_stay_in_bounded_blocks(self, rng):
         F = rng.standard_normal((self.N, self.D))
         space, design = manual_design(np.eye(self.D), F)
+        assert self.peak(lambda: pareto_front(F)) < self.BOUND
+        assert self.peak(lambda: check_improvement(design, F).passed) < self.BOUND
+
+    def test_large_n_stays_in_bounded_tiles(self, rng):
+        # a block of rows against all 10^4 columns would be 1.2 MB of bits
+        F = rng.standard_normal((10**4, 6))
+        space, design = manual_design(np.eye(6), F)
         assert self.peak(lambda: pareto_front(F)) < self.BOUND
         assert self.peak(lambda: check_improvement(design, F).passed) < self.BOUND
 
