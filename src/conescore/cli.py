@@ -126,7 +126,7 @@ def _report_payload(rep) -> dict:
         "check": rep.check_name,
         "passed": rep.passed,
         "checked_pairs": rep.checked_pairs,
-        "violations": [list(v) for v in rep.violations[:50]],
+        "violations": [[w, v] for w, v in zip(rep.where[:50].tolist(), rep.value[:50].tolist())],
     }
 
 

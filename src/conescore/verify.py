@@ -28,17 +28,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """What one oracle checked and what failed; it passed when nothing did."""
+    """What one oracle checked and what failed; it passed when nothing did.
+
+    The failures are kept as two read-only arrays, 24 B per violation for
+    the improvement oracle and 16 B for the others: ``where`` holds the
+    failing (i, j) sample pairs, shape (v, 2), for improvement, and the
+    failing row indices, shape (v,), for optimality and restriction;
+    ``value`` holds each one's lead or size, shape (v,).  ``violations``
+    builds the (where, value) tuples from them on each access, and reports
+    compare equal on (checked_pairs, check_name, violations); the CLI
+    writes the first 50 rows straight from the arrays.
+    """
 
     checked_pairs: int
-    violations: tuple
+    where: np.ndarray
+    value: np.ndarray
     check_name: str
+
+    def __post_init__(self) -> None:
+        self.where.flags.writeable = False
+        self.value.flags.writeable = False
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return self.value.size == 0
+
+    @property
+    def violations(self) -> tuple:
+        """((i, j), lead) per failing pair, or (i, value) per failing row."""
+        where = self.where.tolist()
+        if self.where.ndim == 2:
+            where = map(tuple, where)
+        return tuple(zip(where, self.value.tolist()))
+
+    def _key(self) -> tuple:
+        return self.checked_pairs, self.check_name, self.violations
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, VerificationReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _samples(design: ScoreDesign, samples) -> np.ndarray:
@@ -67,14 +101,14 @@ def check_improvement(
     S = F @ design.A.T
     eps = tol.cone_tol
     n = F.shape[0]
-    violations = []
     # A f_j >= A f_i but not f_j >= f_i
     bad = lambda j0, idx: _order(S, j0, idx, eps, False) & ~_order(F, j0, idx, eps, False)
-    for i, j in _pairs(n, np.arange(n), bad):
-        violations.extend(zip(zip(i.tolist(), j.tolist()), (_lead(F.T, i, j) - eps).tolist()))
-    if n > _TILE:  # the pairs came a column tile at a time
-        violations.sort()
-    return VerificationReport(n * (n - 1), tuple(violations), "improvement")
+    where = np.concatenate([np.empty((0, 2), np.intp),
+                            *(np.column_stack(ij) for ij in _pairs(n, np.arange(n), bad))])
+    if n > _TILE:  # a block's pairs came tile by tile, each tile's in (i, j) order
+        where = where[np.argsort(where[:, 0], kind="stable")]
+    value = _lead(F.T, where[:, 0], where[:, 1]) - eps
+    return VerificationReport(n * (n - 1), where, value, "improvement")
 
 
 def check_optimality(
@@ -93,8 +127,7 @@ def check_optimality(
         np.maximum.at(lead, i, _lead(F.T, j, i))
     # a dominator is ahead in some coordinate, so its lead is positive
     flagged = np.flatnonzero(lead > 0)
-    violations = tuple(zip(flagged.tolist(), lead[flagged].tolist()))
-    return VerificationReport(len(front_s), violations, "optimality")
+    return VerificationReport(len(front_s), flagged, lead[flagged], "optimality")
 
 
 def check_restriction(
@@ -106,23 +139,23 @@ def check_restriction(
     certificate, every row of V inside the cone over the hull-basis rows.
     """
     if design.restriction is Restriction.RES_L:
-        return VerificationReport(0, (), "restriction-res-l-vacuous")
+        return VerificationReport(0, np.empty(0, np.intp), np.empty(0), "restriction-res-l-vacuous")
 
     if design.restriction is Restriction.RES_CS:
-        violations = []
-        for i, row in enumerate(design.A):
-            ones = np.isclose(row, 1.0, atol=10 * tol.rank_tol).sum()
-            zeros = np.isclose(row, 0.0, atol=10 * tol.rank_tol).sum()
-            if not (ones == 1 and ones + zeros == row.size):
-                violations.append((i, float(np.max(np.abs(row)))))
-        return VerificationReport(design.k, tuple(violations), "restriction-res-cs")
+        A = design.A
+        ones = np.isclose(A, 1.0, atol=10 * tol.rank_tol).sum(axis=1)
+        zeros = np.isclose(A, 0.0, atol=10 * tol.rank_tol).sum(axis=1)
+        flagged = np.flatnonzero((ones != 1) | (ones + zeros != A.shape[1]))
+        value = np.abs(A[flagged]).max(axis=1)
+        return VerificationReport(design.k, flagged, value, "restriction-res-cs")
 
     # Res-LM: by Farkas, v . y >= 0 for every y with Z y >= 0 exactly when v
     # lies in the cone over the rows of Z, so this is exact monotonicity
     V = _points(design.V, hull.dim)
     inside, _ = _members(V, GeneratorSet(hull.basis).generators, tol)
-    violations = [(i, 1.0) for i in np.flatnonzero(~inside).tolist()]
-    return VerificationReport(V.shape[0], tuple(violations), "restriction-res-lm-certificate")
+    flagged = np.flatnonzero(~inside)
+    return VerificationReport(V.shape[0], flagged, np.ones(flagged.size),
+                              "restriction-res-lm-certificate")
 
 
 def check_cone_subset(W: GeneratorSet, V: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:

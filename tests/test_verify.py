@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from conescore import (
     design_score,
     pareto_front,
 )
+from conescore.cli import main
 from conescore.design import _TILE, _order
 from conescore.lp import solve_feasibility
 from conftest import TOL, fixture_generators, l1_ball_samples, linf_grid, load_fixture
@@ -172,6 +174,69 @@ class TestCheckRestriction:
         space, design = manual_design([[1.0, -5.0]], [[0, 0], [1, 2], [2, 1]])
         rep = check_restriction(design, space.hull)
         assert rep.passed
+
+    def test_res_cs_flags_each_row_that_is_not_one_hot_with_its_max_abs(self):
+        A = [[1.0, 1e-12, 0.0], [0.5, 0.5, 0.0], [1.0, 1.0, 0.0], [0.0, -3.0, 0.0],
+             [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        space, design = manual_design(A, [[0, 0, 0], [1, 2, 0], [2, 1, 1]],
+                                      restriction=Restriction.RES_CS)
+        rep = check_restriction(design, space.hull)
+        assert rep.checked_pairs == 6
+        assert rep.violations == ((1, 0.5), (2, 1.0), (3, 3.0), (5, 0.0))
+
+
+def assert_report_arrays(rep, violations, pairs):
+    """rep's arrays: intp (i, j) pairs or row indices and float values, read
+    only, equal to the reference violations; and violations built from them."""
+    assert rep.where.dtype == np.intp and rep.value.dtype == np.float64
+    assert rep.where.shape == ((len(violations), 2) if pairs else (len(violations),))
+    assert rep.value.shape == (len(violations),)
+    assert not rep.where.flags.writeable and not rep.value.flags.writeable
+    assert [tuple(w) if pairs else w for w in rep.where.tolist()] == [w for w, _ in violations]
+    assert rep.value.tolist() == [v for _, v in violations]
+    assert rep.violations == violations
+    assert rep.passed == (not violations)
+
+
+class TestReportArrays:
+    # a failing and a passing report of each oracle; a passing improvement
+    # report holds a (0, 2) where
+    def test_improvement(self):
+        F = linf_grid(2, 1.0)
+        for A, passed in (([[1.0, 0.0]], False), (np.eye(2), True)):
+            _, design = manual_design(A, F)
+            rep = check_improvement(design, F)
+            assert rep.passed == passed
+            assert_report_arrays(rep, reference_improvement(design, F)[1], pairs=True)
+
+    def test_optimality(self):
+        F = linf_grid(2, 0.5)
+        for A, passed in (([[1.0, 0.0]], False), (np.eye(2), True)):
+            _, design = manual_design(A, F)
+            rep = check_optimality(design, F)
+            assert rep.passed == passed
+            assert_report_arrays(rep, reference_optimality(design, F)[1], pairs=False)
+
+    @pytest.mark.parametrize("restriction, A, violations", [
+        (Restriction.RES_CS, [[0.0, 1.0]], ()),
+        (Restriction.RES_CS, [[0.0, 1.0], [2.0, -1.0]], ((1, 2.0),)),
+        (Restriction.RES_LM, [[1.0, 1.0]], ()),
+        (Restriction.RES_LM, [[1.0, -1.0], [1.0, 0.0]], ((0, 1.0),)),
+        (Restriction.RES_L, [[1.0, -5.0]], ()),
+    ])
+    def test_restriction(self, restriction, A, violations):
+        space, design = manual_design(A, [[-1, 0], [1, -1], [-3, 1], [0, 0]],
+                                      restriction=restriction)
+        assert_report_arrays(check_restriction(design, space.hull), violations, pairs=False)
+
+    def test_reports_compare_and_hash_on_their_violations(self):
+        F = linf_grid(2, 1.0)
+        _, design = manual_design([[1.0, 0.0]], F)
+        rep = check_improvement(design, F)
+        again = check_improvement(design, F)
+        assert rep == again and hash(rep) == hash(again)
+        assert rep != check_improvement(manual_design(np.eye(2), F)[1], F)
+        assert rep != check_optimality(design, F)
 
 
 class TestConeContainment:
@@ -364,6 +429,32 @@ def test_oracles_match_reference_across_tiles(rng, n):
     F = with_ties(rng, t + rng.integers(0, 2, size=(n, 3)) / 2, TOL.cone_tol)[:n]
     assert_oracles_match(F, [[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])
     assert_oracles_match(F, [[1.0, 1.0, 1.0]])
+
+
+@pytest.mark.parametrize("n", [_TILE - 1, _TILE + 1, 2 * _TILE + 1])
+def test_cli_writes_the_first_50_violations(tmp_path, rng, n):
+    # samples near a chain under one score row: a few violating pairs per
+    # row. Row n - 1 is swapped with a later partner j of the first row i
+    # that has one, so beyond one tile the first 50 pairs hold (i, n - 1),
+    # from the last tile, and then pairs of later rows from the first tile:
+    # only sorting across tiles gives that order
+    t = rng.integers(0, n // 4, size=(n, 1)) / 2
+    F = with_ties(rng, t + rng.integers(0, 2, size=(n, 3)) / 2, TOL.cone_tol)[:n]
+    A = np.ones((1, 3))
+    _, design = manual_design(A, F)
+    i, j = next(ij for ij, _ in reference_improvement(design, F)[1] if ij[1] > ij[0])
+    F[[j, n - 1]] = F[[n - 1, j]]
+    (tmp_path / "problem.json").write_text(
+        json.dumps({"metrics_samples": F.tolist(), "design": {"A": A.tolist()}}))
+    code = main(["verify", "--in", str(tmp_path / "problem.json"),
+                 "--out", str(tmp_path / "result.json"), "--reproducible"])
+    written = json.loads((tmp_path / "result.json").read_text())["verification"][0]
+    assert code == 4 and written["check"] == "improvement"
+    first = [((a, b), lead) for (a, b), lead in written["violations"]]
+    assert len(first) == 50
+    assert first == list(check_improvement(design, F).violations[:50])
+    assert first == list(reference_improvement(design, F)[1][:50])
+    assert (i, n - 1) in [ij for ij, _ in first] and first[-1][0][0] > i
 
 
 def test_order_of_non_finite_scores_matches_the_pair_scan(rng):
