@@ -1,8 +1,10 @@
 """Polyhedral cone predicates and the lineality/pointed decomposition.
 
 A cone is given by generators (rows of W); membership and pointedness reduce
-to LP feasibility, and ``decompose`` peels off the lineality space
-K  ∩ (-K) iteratively until the projected remainder is pointed.
+to LP feasibility.  ``decompose`` finds the lineality space L = K ∩ (-K)
+without iterating: L is the smallest face of K, so it is spanned by the
+generators g with -g in K.  One zero-combination LP decides whether there
+are any, and only when there are, one batch of membership LPs finds them.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ResourceCapError
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, orthonormal_basis, project_complement
+from .errors import InputError
+from .linalg import (DEFAULT_TOL, Tolerances, _pow2_rows, as_matrix, orthonormal_basis,
+                     project_complement)
 from .lp import _phase1_stack, solve_feasibility
 
 __all__ = [
@@ -22,10 +25,6 @@ __all__ = [
     "is_pointed",
     "decompose",
 ]
-
-# steps of decompose's loop: each adds one zero-combination's support to the
-# lineality basis, so in exact arithmetic at most dim of them are needed
-_MAX_STEPS = 1000
 
 @dataclass(frozen=True)
 class GeneratorSet:
@@ -147,58 +146,61 @@ def _nonzero_rows(G: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _zero_combination(G: np.ndarray, tol: Tolerances) -> np.ndarray | None:
-    """Support of a convex combination of the rows of G that is zero, or None
-    when there is none.  Rows that count as zero take no part, so K is
-    pointed exactly when this returns None."""
+    """Support of a convex combination of the rows of G, each scaled by
+    _pow2_rows, that is zero, or None when there is none.  Rows that count
+    as zero take no part (with none left, no column can enter the LP, which
+    is then infeasible), so K is pointed exactly when this returns None.
+    The scaling is exact and keeps each row's ray, and with every row's
+    max-norm in [0.5, 1) feas_tol bounds a residual relative to the rows'
+    size, whatever their scale."""
     active = np.nonzero(_nonzero_rows(G, tol))[0]
-    if active.size == 0:
-        return None
     # a column of ones adds the row sum(lam) = 1 to the LP
-    rows = np.hstack([G[active], np.ones((active.size, 1))])
+    rows = np.hstack([_pow2_rows(G[active])[0], np.ones((active.size, 1))])
     res = solve_feasibility(rows, np.append(np.zeros(G.shape[1]), 1.0), tol)
     return active[res.witness > tol.feas_tol] if res.feasible else None
 
 
 def is_pointed(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff K_W contains no line: no convex combination of generators is 0
-    (generators with max|w| <= cone_tol count as zero, as in ``decompose``)."""
+    """True iff K_W contains no line: no convex combination of generators,
+    each scaled by a power of two, is 0 (generators with max|w| <= cone_tol
+    count as zero).  ``decompose`` solves this same LP first, so the two
+    agree: is_pointed(W) == (decompose(W).ell == 0)."""
     return _zero_combination(W.generators, tol) is None
 
 
 def decompose(W: GeneratorSet, tol: Tolerances = DEFAULT_TOL) -> ConeDecomposition:
     """Split K_W into lineality space plus pointed remnant.
 
-    Repeatedly finds a convex zero-combination of the current projected rows,
-    absorbs its support into the lineality basis, and re-projects; stops when
-    the remaining projected cone is pointed.  A row that does not count as
-    zero lies inside the lineality space when its projection does count as
-    zero (cheaper than an LP and exact for a subspace).  Raises
-    ResourceCapError when the loop has not ended after _MAX_STEPS steps.
+    A row g lies in L = K_W ∩ (-K_W) exactly when -g is in K_W, and L is
+    spanned by those rows.  The zero-combination LP of ``is_pointed`` comes
+    first: when it finds none, L = 0 and that one LP is the whole cost.
+    Otherwise the rows in its support lie in L, and every other row g is
+    tested once, in one _members batch of the -g against the rows scaled
+    by _pow2_rows, at the bound relative to each target that the extreme-row
+    scan uses.  The basis of L is taken from the lineal rows scaled by one
+    common power of two, so it does not overflow near the float maximum.
+    Raises InputError when the projections of the other rows onto L-perp
+    overflow.
     """
     G = W.generators
-    d = W.dim
-    # rows that count as zero are decided once, on W itself: a projection
-    # can lengthen a row in the max-norm, so they take no part in the loop
-    rows = np.nonzero(_nonzero_rows(G, tol))[0]
-    P = N = G[rows]
-    Z = np.zeros((d, 0))
-    for _ in range(_MAX_STEPS):
-        if (support := _zero_combination(P, tol)) is None:
-            break
-        # supported projected rows lie in the lineality of the projected
-        # cone and are orthogonal to Z, so in exact arithmetic the basis
-        # grows; rounding can make a step only rotate it, which is allowed
-        Z = orthonormal_basis(np.vstack([Z.T, P[support]]), tol)
-        P = project_complement(N, Z)
-    else:
-        raise ResourceCapError(f"decompose did not finish within {_MAX_STEPS} steps")
-
-    off = _nonzero_rows(P, tol)
-    inside, outside = rows[~off], rows[off]
+    nonzero = _nonzero_rows(G, tol)
+    lineal = np.zeros(W.m, bool)
+    if (support := _zero_combination(G, tol)) is not None:
+        lineal[support] = True
+        rest = np.nonzero(nonzero & ~lineal)[0]
+        Gs, _ = _pow2_rows(G)
+        lineal[rest] = _members(-Gs[rest], Gs[nonzero], tol)[0]
+    inside, outside = np.nonzero(lineal)[0], np.nonzero(nonzero & ~lineal)[0]
+    _, e = np.frexp(np.max(np.abs(G[inside]), initial=0.0))
+    Z = orthonormal_basis(np.ldexp(G[inside], -e), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = project_complement(G[outside], Z)
+    if not np.all(np.isfinite(P)):
+        raise InputError("generators: projected generators overflow (entries must be finite)")
     return ConeDecomposition(
         lineality_basis=Z,
         lineal_generators=GeneratorSet(G[inside]),
-        pointed_generators=GeneratorSet(project_complement(G[outside], Z)),
+        pointed_generators=GeneratorSet(P),
         inside_rows=tuple(inside.tolist()),
         outside_rows=tuple(outside.tolist()),
     )

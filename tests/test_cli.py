@@ -1,9 +1,12 @@
 import json
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conescore import RankKind
+import conescore
+from conescore import GeneratorSet, RankKind
 from conescore.cli import main
 from conescore.fixtures import fixture_path
 from conftest import linf_grid, load_fixture
@@ -83,28 +86,81 @@ class TestDecompose:
         assert dec["pointed_generator_indices"] == [0]
 
 
-@pytest.mark.parametrize("scale", [1e9, 1e12])
-@pytest.mark.parametrize("argv", [("decompose",), ("rank", "--kind", "all")],
-                         ids=["decompose", "rank-all"])
-def test_decomposition_that_does_not_end_exits_3(tmp_path, capsys, monkeypatch, argv, scale):
-    # at these scales each step of decompose's loop finds a zero combination
-    # again but only rotates the lineality basis; the loop is capped
-    import conescore.cone
+CONE_FIXTURES = ["line_2d.json", "plane_2d.json", "halfspace_2d.json", "wedge_2d.json",
+                 "ray_2d.json", "nonpointed_5d_generators.json", "square_cone_generators.json"]
+NON_POINTED_FIXTURES = CONE_FIXTURES[:3] + CONE_FIXTURES[5:6]
 
-    calls = []
-    real = conescore.cone._zero_combination
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+def decomposition_and_ranks(tmp_path, doc):
+    """decompose's ell and index lists and rank's three values for doc."""
+    code, dec = run(tmp_path, "decompose", doc)
+    assert code == 0
+    code, res = run(tmp_path, "rank", doc)
+    assert code == 0
+    dec = dec["decomposition"]
+    return (dec["ell"], dec["lineal_generator_indices"], dec["pointed_generator_indices"],
+            {k: v["value"] for k, v in res["ranks"].items()})
 
-    monkeypatch.setattr(conescore.cone, "_zero_combination", counting)
-    code, res = run(tmp_path, argv[0], scaled_fixture("nonpointed_5d_generators.json", scale),
-                    *argv[1:])
-    assert code == 3
+
+@pytest.mark.parametrize("name", CONE_FIXTURES)
+def test_decomposition_and_ranks_do_not_depend_on_scale(tmp_path, monkeypatch, name):
+    # one zero-combination LP and at most one membership batch, both on the
+    # rows scaled by powers of two, decide the lineality space at any scale
+    calls = Counter()
+    for fn in ("_zero_combination", "_members"):
+        def counting(*args, _fn=fn, _real=getattr(conescore.cone, fn)):
+            calls[_fn] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(conescore.cone, fn, counting)
+    want = decomposition_and_ranks(tmp_path, load_fixture(name))
+    for scale in (1e-6, 1.0, 1e9, 1e12, 1e16, 1e100, 1e300, 8e307):
+        doc = scaled_fixture(name, scale)
+        calls.clear()
+        code, _ = run(tmp_path, "decompose", doc)
+        assert code == 0
+        assert calls["_zero_combination"] == 1 and calls["_members"] <= 1, scale
+        assert decomposition_and_ranks(tmp_path, doc) == want, scale
+        pointed = conescore.is_pointed(GeneratorSet(doc["generators"]))
+        assert pointed == (want[0] == 0), scale
+
+
+@pytest.mark.parametrize("argv", [("decompose",)] + [("rank", "--kind", k)
+                                                       for k in ("csr", "cgr", "cr", "all")])
+@pytest.mark.parametrize("name", NON_POINTED_FIXTURES)
+def test_non_pointed_cones_at_the_float_maximum(tmp_path, capsys, name, argv):
+    # at max|g| = 1.7e308 a command either gives the unit-scale answer or
+    # exits 2 naming what overflowed, never another answer; the unit rows'
+    # norms overflow and warn on the way to CR, which is still right
+    (tmp_path / "unit").mkdir()
+    _, unit = run(tmp_path / "unit", argv[0], load_fixture(name), *argv[1:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, res = run(tmp_path, argv[0], scaled_fixture(name, 1.7e308), *argv[1:])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        key = "decomposition" if argv[0] == "decompose" else "ranks"
+        got, want = res[key], unit[key]
+        if key == "ranks":
+            got, want = ({k: v["value"] for k, v in r.items()} for r in (got, want))
+        else:
+            got, want = ({k: r[k] for k in ("ell", "lineal_generator_indices",
+                                            "pointed_generator_indices")} for r in (got, want))
+        assert got == want
+    else:
+        assert code == 2 and res is None
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_projection_that_overflows_is_an_input_error(tmp_path, capsys):
+    # the halfspace's row (-2, 2) projected off the line through (2, 1) is
+    # (-1.02e308, 2.04e308) at this scale: finite input, an infinite part
+    code, res = run(tmp_path, "decompose", scaled_fixture("halfspace_2d.json", 1.7e308))
+    assert code == 2
     assert res is None
-    assert capsys.readouterr().err == "error: decompose did not finish within 1000 steps\n"
-    assert len(calls) == conescore.cone._MAX_STEPS == 1000
+    assert capsys.readouterr().err == (
+        "error: generators: projected generators overflow (entries must be finite)\n")
 
 
 class TestRank:
@@ -257,8 +313,8 @@ class TestRank:
             "error: rank chain m >= CSR >= CGR >= CR >= rank fails: 4 >= 4 >= 3 >= 4 >= 3\n")
 
     def test_halfspace_called_pointed_keeps_a_generating_subset(self, tmp_path):
-        # at max|g| = 1e155 decompose calls the halfspace pointed; the rows
-        # kept must still generate it, so CSR and CGR are 3 as at unit scale
+        # at max|g| = 1e155 decompose finds the halfspace's line, as at unit
+        # scale, so CSR and CGR are 3 and CSR keeps the same rows
         gens = np.asarray(load_fixture("halfspace_2d.json")["generators"], dtype=float)
         doc = {"generators": (gens / np.abs(gens).max() * 1e155).tolist()}
         for kind in ("csr", "cgr"):
@@ -269,9 +325,10 @@ class TestRank:
         assert res["ranks"]["csr"]["subset_indices"] == [0, 1, 3]
 
     def test_overflowing_square_cone_gets_unit_scale_ranks(self, tmp_path, capsys):
-        # at max|g| = 1.7e308 the extreme-row scan's LPs combine the rows
-        # scaled by powers of two, so CSR = CGR = 4 and CR = 3 as at unit
-        # scale; decompose's own LP still overflows and warns
+        # at max|g| = 1.7e308 decompose's LP and the extreme-row scan's LPs
+        # combine the rows scaled by powers of two, so CSR = CGR = 4 and
+        # CR = 3 as at unit scale; the norms of _unit_rows still overflow
+        # and warn
         gens = np.sign(load_fixture("square_cone_generators.json")["generators"]) * 1.7e308
         with pytest.warns(RuntimeWarning):
             code, res = run(tmp_path, "rank", {"generators": gens.tolist()})

@@ -9,6 +9,7 @@ compiled-vs-pure checks run wherever a C compiler exists.
 """
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -278,6 +279,27 @@ def test_compiled_batch_matches_compiled_loop_on_non_finite_entries(rng, compile
         for max_iter in (1, 3, 200):
             assert (batched(compiled.pivot_batch, T, basis, max_iter)
                     == batched(looped, T, basis, max_iter))
+
+
+CYCLING = json.loads((Path(__file__).resolve().parent / "cycling_tableaux.json").read_text())
+
+
+@pytest.mark.parametrize("case", CYCLING["cases"],
+                         ids=lambda c: f"seed{c['seed']}-{c['instance']}-x{c['scale']:g}")
+def test_cycling_tableaux_pivot_alike_in_every_entry(case, compiled):
+    # zero-combination LPs of rank_lineality_pool cones on which Bland's rule
+    # cycles on a degenerate vertex until the pivot cap: every entry of both
+    # kernels must still end on the same bits, and the status recorded
+    # shows whether the cap is still reached
+    T = np.array(case["tableau"])
+    basis = np.array(case["basis"], dtype=np.int64)
+    n = case["max_iter"]
+    want = pivoted(_simplex_py.pivot_loop, T, basis, n)
+    assert pivoted(compiled.pivot_loop, T, basis, n) == want
+    for kernel in (_simplex_py.pivot_batch, compiled.pivot_batch):
+        got = batched(kernel, T[None], basis[None], n)
+        assert (got[0], got[1][0], got[2][0]) == want
+    assert want[2] == case["status"]
 
 
 def degenerate_tableaux(rng):
