@@ -30,7 +30,7 @@ from .design import (
 )
 from .errors import ConescoreError, InputError, VerificationError
 from .linalg import Tolerances, as_matrix, numeric_rank
-from .ranks import RankKind, RankResult, cone_ranks
+from .ranks import DEFAULT_MAX_LINEALITY_DIM, RankKind, RankResult, cone_ranks
 from .verify import check_improvement, check_optimality, check_restriction
 
 SCHEMA_VERSION = 1
@@ -289,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--in", dest="in_path", required=True, metavar="FILE")
     ap.add_argument("--out", dest="out_path", required=True, metavar="FILE")
-    ap.add_argument("--kind", choices=["csr", "cgr", "cr", "all"],
+    ap.add_argument("--kind", choices=[k.value for k in RankKind] + ["all"],
                     help="rank only; default all")
     ap.add_argument("--objective", choices=[o.value for o in Objective])
     ap.add_argument("--restriction", choices=[r.value for r in Restriction])
     ap.add_argument("--tol-rank", type=float, dest="rank_tol")
     ap.add_argument("--tol-feas", type=float, dest="feas_tol")
     ap.add_argument("--tol-cone", type=float, dest="cone_tol")
-    ap.add_argument("--max-lineality-dim", type=int, default=6)
+    ap.add_argument("--max-lineality-dim", type=int, default=DEFAULT_MAX_LINEALITY_DIM)
     ap.add_argument("--csv", action="store_true", help="input file is CSV rows")
     ap.add_argument("--reproducible", action="store_true",
                     help="omit the timestamp for byte-identical outputs")

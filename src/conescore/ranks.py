@@ -7,9 +7,10 @@
 
 cone_ranks computes any subset of them in one pipeline: one decomposition, one
 extreme-ray elimination shared by CSR and CGR (one batch of membership LPs,
-pivoted as one stack of tableaux), and a separating hyperplane +
-enclosing simplex for CR.  The simplex witness is simplicial, so one linear
-solve, not one LP per generator, certifies that it encloses K_W.
+pivoted as one stack of tableaux, on a pointed part certified by the
+zero-combination LP of is_pointed), and a separating hyperplane + enclosing
+simplex for CR.  The simplex witness is simplicial, so one linear solve, not
+one LP per generator, certifies that it encloses K_W.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from enum import Enum
 
 import numpy as np
 
+from . import cone
 from .cone import GeneratorSet, _members, _membership_bound, decompose
-from .errors import InputError, ResourceCapError, VerificationError
+from .errors import InputError, NotPointedError, ResourceCapError, VerificationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -82,26 +84,13 @@ def _extreme_rows(W: GeneratorSet, tol: Tolerances) -> list[int]:
     group, one more small batch.  So the scan solves one LP per tested row
     and one per group.
 
-    Dropping every redundant row at once is sound only in a pointed cone.
-    Pointedness is the caller's to establish, but a cone at the edge of
-    the decomposition's tolerances can be called pointed and not be.  So
-    the batch runs only when the sum y of the unit rows certifies it
-    (y . g > cone_tol |y| |g| for every row g).  Otherwise the rows are
-    scanned one at a time, in input order, each tested against the input
-    rows still kept (a keep mask of one row): each drop leaves the cone
-    unchanged, so the rows kept generate it whether or not it is pointed.
+    Dropping every redundant row at once is sound only in a pointed cone,
+    which the caller establishes with the zero-combination LP of
+    ``is_pointed`` (cone_ranks: through decompose, or by one more call).
     """
     G = W.generators
     m = W.m
     Gs, _ = _pow2_rows(G)
-    U, _ = _unit_rows(Gs)  # the unit rows of G, with norms that cannot overflow
-    y = U.sum(axis=0)
-    if not np.min(U @ y, initial=np.inf) > tol.cone_tol * np.linalg.norm(y):
-        kept = np.ones(m, bool)
-        for i in range(m):
-            kept[i] = False  # row i meets the other rows kept
-            kept[i] = not (kept.any() and _members(G[i:i + 1], G, tol, kept[None])[0][0])
-        return np.flatnonzero(kept).tolist()
     # the last of the rows whose scaled bits are equal
     last_of = {g.tobytes(): i for i, g in enumerate(Gs)}
     rows = np.array(sorted(last_of.values()), dtype=int)
@@ -249,16 +238,18 @@ def cone_ranks(
 ) -> dict[RankKind, RankResult]:
     """The requested ranks of K_W, from one decomposition.
 
-    The decomposition alone decides pointedness and which rows count as zero
-    (max|w| <= cone_tol; they are in neither of its parts, so all three ranks
-    ignore them).  One extreme-ray elimination of the pointed part, its
-    membership LPs solved as one stacked batch when pointedness is
-    certified (_extreme_rows keeps the last row of each extreme ray shared
-    by several rows), serves both
-    CSR (those rows mapped back to W, plus a positively spanning subset of
-    the lineal rows) and CGR (an (ell+1)-vector frame of the lineality space,
-    the basis plus its negated sum, followed by those rows); CR is the frame
-    plus an enclosing simplex of the pointed part.
+    The decomposition decides which rows count as zero (max|w| <= cone_tol;
+    they are in neither of its parts, so all three ranks ignore them).  One
+    extreme-ray elimination of the pointed part, its membership LPs solved
+    as one stacked batch (_extreme_rows keeps the last row of each extreme
+    ray shared by several rows), serves both CSR (those rows mapped back to
+    W, plus a positively spanning subset of the lineal rows) and CGR (an
+    (ell+1)-vector frame of the lineality space, the basis plus its negated
+    sum, followed by those rows); CR is the frame plus an enclosing simplex
+    of the pointed part.  The elimination needs a pointed part, which the
+    zero-combination LP of ``is_pointed`` decides: at ell > 0 one more such
+    LP on the projected rows, which raises NotPointedError when it finds a
+    line the decomposition missed.
     """
     dec = decompose(W, tol)
     P, outside = dec.pointed_generators, dec.outside_rows
@@ -273,6 +264,12 @@ def cone_ranks(
     if RankKind.CSR in kinds:
         sub = csr_subspace(lineal, tol, max_lineality_dim)
     if RankKind.CSR in kinds or RankKind.CGR in kinds:
+        # at ell = 0 the rows of P are the nonzero rows of W bit for bit (the
+        # projection onto a d x 0 basis subtracts exact zeros), so decompose's
+        # own zero-combination LP has already found P pointed
+        if dec.ell and P.m and not cone.is_pointed(P, tol):
+            raise NotPointedError(
+                "generators: the pointed part holds a line the decomposition missed")
         extreme = _extreme_rows(P, tol)
     if RankKind.CSR in kinds:
         chosen = sorted([inside[i] for i in sub] + [outside[i] for i in extreme])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conescore import GeneratorSet, Tolerances
-from conescore.cone import _membership_bound
+from conescore.cone import ConeDecomposition, _membership_bound
 from conescore.fixtures import fixture_path
+from conescore.linalg import project_complement
 from conescore.lp import phase1
 
 TOL = Tolerances()
@@ -18,6 +19,20 @@ def load_fixture(name):
 
 def fixture_generators(name):
     return GeneratorSet.from_rows(load_fixture(name)["generators"])
+
+
+def plane_with_a_missed_line():
+    """A cone in R^3 with lineality space span(e1, e2), and a decompose that
+    finds only span(e1), so its pointed part holds the line through e2."""
+    W = GeneratorSet.from_rows([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]])
+    Z = np.array([[1.0], [0.0], [0.0]])
+
+    def missing_a_line(W, tol=TOL):
+        G = W.generators
+        return ConeDecomposition(Z, GeneratorSet(G[:2]),
+                                 GeneratorSet(project_complement(G[2:], Z)), (0, 1), (2, 3, 4))
+
+    return W, missing_a_line
 
 
 def scalar_member(x, G, tol=TOL):

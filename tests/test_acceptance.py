@@ -91,6 +91,7 @@ def test_criterion_03_planar_taxonomy():
         "ray_2d.json": (1, 1, 1),
         "line_2d.json": (2, 2, 2),
         "wedge_2d.json": (2, 2, 2),
+        "wide_wedge_2d.json": (2, 2, 2),
         "halfspace_2d.json": (3, 3, 3),
         "plane_2d.json": (4, 3, 3),
     }

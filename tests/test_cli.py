@@ -9,7 +9,7 @@ import conescore
 from conescore import GeneratorSet, RankKind
 from conescore.cli import main
 from conescore.fixtures import fixture_path
-from conftest import linf_grid, load_fixture
+from conftest import linf_grid, load_fixture, plane_with_a_missed_line
 
 
 def run(tmp_path, command, in_doc, *args, name="problem.json"):
@@ -87,7 +87,8 @@ class TestDecompose:
 
 
 CONE_FIXTURES = ["line_2d.json", "plane_2d.json", "halfspace_2d.json", "wedge_2d.json",
-                 "ray_2d.json", "nonpointed_5d_generators.json", "square_cone_generators.json"]
+                 "ray_2d.json", "nonpointed_5d_generators.json", "square_cone_generators.json",
+                 "wide_wedge_2d.json"]
 NON_POINTED_FIXTURES = CONE_FIXTURES[:3] + CONE_FIXTURES[5:6]
 
 
@@ -191,7 +192,7 @@ class TestRank:
         assert len(calls) == 1
 
     def test_all_kinds_trust_the_decomposition(self, tmp_path, monkeypatch):
-        # decompose decides pointedness; no rank step proves it again
+        # at ell = 0 decompose decides pointedness; no rank step proves it again
         import conescore.cone
         import conescore.ranks
 
@@ -338,6 +339,30 @@ class TestRank:
         }
         assert res["ranks"]["csr"]["subset_indices"] == [0, 1, 2, 3]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("kind", ["csr", "cgr", "all"])
+    def test_wide_wedge_at_the_float_maximum_gets_unit_scale_ranks(self, tmp_path, kind):
+        # the rays span 178 degrees; at max|g| = 1.7e308 the elimination's
+        # one batch still keeps rows 3 and 5, as at unit scale
+        doc = scaled_fixture("wide_wedge_2d.json", 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, res = run(tmp_path, "rank", doc, "--kind", kind)
+        assert code == 0
+        ranks = res["ranks"]
+        assert {k: v["value"] for k, v in ranks.items()} == dict.fromkeys(ranks, 2)
+        if kind != "cgr":
+            assert ranks["csr"]["subset_indices"] == [3, 5]
+
+    def test_line_missed_by_the_decomposition_exits_2(self, tmp_path, capsys, monkeypatch):
+        W, missing_a_line = plane_with_a_missed_line()
+        monkeypatch.setattr("conescore.ranks.decompose", missing_a_line)
+        code, res = run(tmp_path, "rank", {"generators": W.generators.tolist()},
+                        "--kind", "cgr")
+        assert code == 2
+        assert res is None
+        assert capsys.readouterr().err == (
+            "error: generators: the pointed part holds a line the decomposition missed\n")
 
     def test_square_cone_all(self, tmp_path):
         code, res = run(tmp_path, "rank", load_fixture("square_cone_generators.json"))
@@ -596,6 +621,22 @@ def test_kind_is_rank_only(tmp_path, capsys, command):
     assert code == 2
     assert res is None
     assert err == f"error: --kind applies to rank only, not {command}\n"
+
+
+def test_flag_defaults_and_choices_follow_the_library():
+    # the README's "--kind defaults to all" and "--max-lineality-dim
+    # defaults to 6" are cone_ranks' own kinds and default
+    from conescore.cli import build_parser
+    from conescore.ranks import DEFAULT_MAX_LINEALITY_DIM
+
+    ap = build_parser()
+    argv = ["rank", "--in", "p.json", "--out", "r.json"]
+    args = ap.parse_args(argv)
+    assert args.max_lineality_dim == DEFAULT_MAX_LINEALITY_DIM == 6
+    assert args.kind is None
+    assert [k.value for k in RankKind] == ["csr", "cgr", "cr"]
+    for kind in ("csr", "cgr", "cr", "all"):
+        assert ap.parse_args([*argv, "--kind", kind]).kind == kind
 
 
 def test_verify_rejects_csv_input(tmp_path, capsys):

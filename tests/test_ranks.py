@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conescore import (
     GeneratorSet,
+    NotPointedError,
     RankKind,
     ResourceCapError,
     VerificationError,
@@ -23,6 +24,7 @@ from conescore.ranks import _extreme_rows, csr_subspace, enclosing_simplex
 from conftest import (
     TOL,
     fixture_generators,
+    plane_with_a_missed_line,
     random_cone_rows,
     random_pointed_rows,
     random_rotation,
@@ -60,10 +62,11 @@ def count_membership_lps(monkeypatch):
     return solved
 
 
-def _spread_rays(g, count, n):
+def _spread_rays(g, count, n, wide=False):
     """Up to count rows (1, x) in R^n, rotated, with the x unit vectors at
     least 0.25 apart and scaled onto an ellipsoid: each row is an extreme
-    ray with a margin far above the LP tolerances."""
+    ray with a margin far above the LP tolerances.  A wide draw stretches x
+    30-fold, so the rays span up to about 176 degrees."""
     pts = []
     for _ in range(200 * count):
         x = g.standard_normal(n - 1)
@@ -72,18 +75,19 @@ def _spread_rays(g, count, n):
             pts.append(x)
         if len(pts) == count:
             break
-    X = np.array(pts) * g.uniform(0.4, 1.0, size=n - 1)
+    X = np.array(pts) * g.uniform(0.4, 1.0, size=n - 1) * (30.0 if wide else 1.0)
     return np.hstack([np.ones((len(X), 1)), X]) @ random_rotation(g, n).T
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_batched_scan_matches_the_sequential_scan(seed, scaled):
-    # pointed cones with interior rows and rows repeated at shuffled
-    # positions; the rows kept are the last one on each extreme ray
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_batched_scan_matches_the_sequential_scan(seed, scaled, wide):
+    # pointed cones, some nearly halfspaces, with interior rows and rows
+    # repeated at shuffled positions; the rows kept are the last one on
+    # each extreme ray
     g = np.random.default_rng(seed)
     n = int(g.integers(2, 6))
-    R = _spread_rays(g, int(g.integers(1, 8)), n)
+    R = _spread_rays(g, int(g.integers(1, 8)), n, wide)
     # with one ray, every positive combination lies on it
     inner = int(g.integers(0, 5)) if len(R) > 1 else 0
     interior = g.uniform(0.05, 1.0, size=(inner, len(R))) @ R
@@ -106,16 +110,14 @@ def test_batched_scan_matches_the_sequential_scan(seed, scaled):
         assert sequential_extreme_rows(W, TOL) == expected
 
 
-def test_uncertified_cone_is_scanned_row_by_row(monkeypatch):
-    # a pointed cone whose rays span 178 degrees: the sum of its unit rows
-    # does not separate it from the origin, so no batch is solved and the
-    # rows are tested one at a time against the rows still kept
-    t = np.radians([-80.0, 95.0, 96.5, 98.0])
-    G = np.column_stack([np.cos(t), np.sin(t)])
-    W = GeneratorSet.from_rows(np.vstack([G, G[1] + G[2], 3.0 * G[0]]))
+def test_wide_pointed_cone_is_eliminated_in_one_batch(monkeypatch):
+    # a pointed cone whose rays span 178 degrees, which the sum of its unit
+    # rows does not separate from the origin: every row is tested in one
+    # batch, and rows 0 and 5, on one ray, in one group batch of one LP
+    W = fixture_generators("wide_wedge_2d.json")
     solved = count_membership_lps(monkeypatch)
     assert _extreme_rows(W, TOL) == [3, 5]
-    assert solved == [1] * W.m
+    assert solved == [6, 1]
     assert sequential_extreme_rows(W, TOL) == [3, 5]
 
 
@@ -520,6 +522,34 @@ class TestConeRanks:
             assert ranks[RankKind.CR].value == 4
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2]
+
+    @pytest.mark.parametrize("name, lps", [("square_cone_generators.json", 1),
+                                           ("wide_wedge_2d.json", 1),
+                                           ("halfspace_2d.json", 2),
+                                           ("nonpointed_5d_generators.json", 2)])
+    def test_one_pointedness_lp_per_part(self, monkeypatch, name, lps):
+        # decompose's zero-combination LP certifies W's pointed part at
+        # ell = 0; at ell > 0 the projected part gets one LP of its own
+        import conescore.cone
+
+        real = conescore.cone._zero_combination
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(conescore.cone, "_zero_combination", counting)
+        W = fixture_generators(name)
+        cone_ranks(W, kinds=(RankKind.CGR,))
+        assert len(calls) == lps
+
+    @pytest.mark.parametrize("kind", [RankKind.CSR, RankKind.CGR])
+    def test_line_missed_by_the_decomposition_is_not_eliminated(self, monkeypatch, kind):
+        W, missing_a_line = plane_with_a_missed_line()
+        monkeypatch.setattr("conescore.ranks.decompose", missing_a_line)
+        with pytest.raises(NotPointedError, match="holds a line the decomposition missed"):
+            cone_ranks(W, kinds=(kind,))
 
     def test_cgr_reuses_the_csr_extreme_rows(self):
         W = fixture_generators("nonpointed_5d_generators.json")
