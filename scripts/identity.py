@@ -21,13 +21,14 @@ Per case it compares the output file's bytes, the exit code and stderr
 between the trees, for each kernel.  Stderr is the CLI's own text plus the
 distinct "Category: message" of the warnings the case raised, without the
 file and line they came from, which move whenever code does.  It also counts
-the LPs each pool solves (phase-1 calls, plus the depth of every stack
-handed to the batch kernel) and their pivots, per op.  The kernel calls
-whose results are compared are the program's own; the pivots are counted
-by a second pass over copies of each pool case's tableaux, one pivot per
-kernel call.  The last lines give
-the number of timeouts and the summary; the exit status is 1 when any case
-differs.
+the LPs each pool solves and their pivots, per op: an LP per tableau of
+every stack handed to ``lp.pivot_batch``, and in revisions whose
+``lp.pivot_loop`` is a kernel entry of its own, not ``lp``'s adapter over
+``pivot_batch``, one per call of it too.  The kernel calls whose results
+are compared are the program's own; the pivots are counted by a second pass
+over copies of each pool case's tableaux, one pivot per kernel call.  The
+last lines give the number of timeouts and the summary; the exit status is
+1 when any case differs.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def run_corpus(cases_path: str, start: int) -> None:
     counts = Counter()
     pool_case = [False]
 
-    def count(kernel, batch):
+    def count(kernel):
         def counted(T, basis, eps, max_iter):
-            counts["lps"] += T.shape[0] if batch else 1
+            counts["lps"] += T.shape[0] if T.ndim == 3 else 1
             if pool_case[0]:
                 # on copies, one pivot per call: a slice's status is 1 when
                 # that call pivoted it
@@ -130,9 +131,13 @@ def run_corpus(cases_path: str, start: int) -> None:
             return kernel(T, basis, eps, max_iter)
         return counted
 
-    lp.pivot_loop = count(lp.pivot_loop, False)
     if hasattr(lp, "pivot_batch"):
-        lp.pivot_batch = count(lp.pivot_batch, True)
+        lp.pivot_batch = count(lp.pivot_batch)
+    # an adapter defined in lp reaches the kernel through pivot_batch, which
+    # counts its LP already
+    loop = getattr(lp, "pivot_loop", None)
+    if loop is not None and loop.__module__ != lp.__name__:
+        lp.pivot_loop = count(loop)
     print(json.dumps({"kernel": conescore.kernel_name(), "package": conescore.__file__}),
           flush=True)
     # beside the cases, so a worker killed on a timeout leaves nothing behind

@@ -54,9 +54,10 @@ from types import ModuleType as _ModuleType
 
 # every name imported above; the submodules stay attributes of the package
 # (conescore.design is the module) but are not part of its API.  Their
-# internal helpers, such as lp.solve_feasibility or linalg.numeric_rank, keep
-# names without a leading underscore all the same: perfbench/tracer.py times
-# exactly the module-level functions named so, and checks that every
-# lp.phase1 call came through a traced lp.solve_feasibility.
+# internal helpers, such as lp.solve_feasibility, lp.pivot_loop or
+# linalg.numeric_rank, keep names without a leading underscore all the same:
+# perfbench/tracer.py times exactly the module-level functions named so,
+# wraps lp.pivot_loop as its simplex layer, and checks that every lp.phase1
+# call came through a traced lp.solve_feasibility.
 __all__ = sorted(name for name, value in globals().items()
                  if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -1,16 +1,15 @@
-/* Compiled Bland pivot loop for the dense phase-1 simplex tableau.
+/* Compiled Bland pivot loop for stacks of dense phase-1 simplex tableaux.
  *
- * Semantically identical to _simplex_py.pivot_loop, which is the reference
- * implementation and the import-time fallback: the same operation order and
- * no fused multiply-add (build with -ffp-contract=off), so both kernels give
- * bit-identical tableaux.  Arrays arrive through the buffer protocol; no
- * numpy headers are needed.
+ * Semantically identical to _simplex_py.pivot_batch, the import-time
+ * fallback: the same operation order and no fused multiply-add (build with
+ * -ffp-contract=off), so both kernels give bit-identical tableaux.  Arrays
+ * arrive through the buffer protocol; no numpy headers are needed.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
 
-/* Pivot the (p+1) x (q+1) row-major tableau T in place; see pivot_loop. */
+/* Pivot the (p+1) x (q+1) row-major tableau T in place; see pivot_batch. */
 static int
 bland(double *T, long long *basis, Py_ssize_t p, Py_ssize_t q, double eps,
       long long max_iter)
@@ -81,15 +80,15 @@ get_view(PyObject *obj, Py_buffer *v, const char *name, int ndim, const char *fm
     return -1;
 }
 
-/* Parse (T, basis, eps, max_iter) with T an ndim-D float64 stack of
-   (p+1) x (q+1) tableaux and basis an (ndim-1)-D int64 array of p labels
-   per tableau; on success the caller releases both views. */
+/* Parse (T, basis, eps, max_iter) with T a k x (p+1) x (q+1) float64 stack
+   of tableaux and basis a k x p int64 array of their labels; on success the
+   caller releases both views. */
 static int
-parse_args(PyObject *const *args, Py_ssize_t nargs, const char *name, int ndim,
-           Py_buffer *tv, Py_buffer *bv, double *eps, long long *max_iter)
+parse_args(PyObject *const *args, Py_ssize_t nargs, Py_buffer *tv, Py_buffer *bv,
+           double *eps, long long *max_iter)
 {
     if (nargs != 4) {
-        PyErr_Format(PyExc_TypeError, "%s takes 4 arguments (%zd given)", name, nargs);
+        PyErr_Format(PyExc_TypeError, "pivot_batch takes 4 arguments (%zd given)", nargs);
         return -1;
     }
     *eps = PyFloat_AsDouble(args[2]);
@@ -98,21 +97,20 @@ parse_args(PyObject *const *args, Py_ssize_t nargs, const char *name, int ndim,
     *max_iter = PyLong_AsLongLong(args[3]);
     if (*max_iter == -1 && PyErr_Occurred())
         return -1;
-    if (get_view(args[0], tv, "T", ndim, "d", "float64") < 0)
+    if (get_view(args[0], tv, "T", 3, "d", "float64") < 0)
         return -1;
-    if (get_view(args[1], bv, "basis", ndim - 1, "lq", "int64") < 0) {
+    if (get_view(args[1], bv, "basis", 2, "lq", "int64") < 0) {
         PyBuffer_Release(tv);
         return -1;
     }
-    const Py_ssize_t *ts = tv->shape + ndim - 2, *bs = bv->shape + ndim - 2;
-    if (ts[0] < 1 || ts[1] < 1)
+    if (tv->shape[1] < 1 || tv->shape[2] < 1)
         PyErr_SetString(PyExc_ValueError, "T needs at least one row and one column");
-    else if (ndim == 3 && bv->shape[0] != tv->shape[0])
+    else if (bv->shape[0] != tv->shape[0])
         PyErr_Format(PyExc_ValueError, "basis has %zd rows, T has %zd tableaux",
                      bv->shape[0], tv->shape[0]);
-    else if (ndim == 2 ? bs[0] < ts[0] - 1 : bs[0] != ts[0] - 1)
+    else if (bv->shape[1] != tv->shape[1] - 1)
         PyErr_Format(PyExc_ValueError, "basis has %zd entries, T has %zd constraint rows",
-                     bs[0], ts[0] - 1);
+                     bv->shape[1], tv->shape[1] - 1);
     else
         return 0;
     PyBuffer_Release(bv);
@@ -121,26 +119,12 @@ parse_args(PyObject *const *args, Py_ssize_t nargs, const char *name, int ndim,
 }
 
 static PyObject *
-pivot_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    Py_buffer tv, bv;
-    double eps;
-    long long max_iter;
-    if (parse_args(args, nargs, "pivot_loop", 2, &tv, &bv, &eps, &max_iter) < 0)
-        return NULL;
-    int status = bland(tv.buf, bv.buf, tv.shape[0] - 1, tv.shape[1] - 1, eps, max_iter);
-    PyBuffer_Release(&bv);
-    PyBuffer_Release(&tv);
-    return PyLong_FromLong(status);
-}
-
-static PyObject *
 pivot_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer tv, bv;
     double eps;
     long long max_iter;
-    if (parse_args(args, nargs, "pivot_batch", 3, &tv, &bv, &eps, &max_iter) < 0)
+    if (parse_args(args, nargs, &tv, &bv, &eps, &max_iter) < 0)
         return NULL;
     const Py_ssize_t k = tv.shape[0], p = tv.shape[1] - 1, q = tv.shape[2] - 1;
     PyObject *status = PyList_New(k);
@@ -159,16 +143,13 @@ pivot_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyMethodDef methods[] = {
-    {"pivot_loop", (PyCFunction)(void (*)(void))pivot_loop, METH_FASTCALL,
-     "pivot_loop(T, basis, eps, max_iter) -> int\n\n"
-     "Run Bland-rule pivots on tableau T in place until optimal.  T is\n"
-     "(p+1) x (q+1) float64: p constraint rows, one reduced-cost row, rhs in\n"
-     "the last column; basis holds p int64 labels.  Returns 0 if optimal,\n"
-     "1 if the iteration cap was hit."},
     {"pivot_batch", (PyCFunction)(void (*)(void))pivot_batch, METH_FASTCALL,
      "pivot_batch(T, basis, eps, max_iter) -> list[int]\n\n"
-     "pivot_loop on each tableau of the k x (p+1) x (q+1) float64 stack T,\n"
-     "with its row of the k x p int64 basis; returns the k statuses."},
+     "Run Bland-rule pivots in place on each tableau of the stack T until\n"
+     "it is optimal.  T is k x (p+1) x (q+1) float64: per tableau, p\n"
+     "constraint rows, one reduced-cost row, rhs in the last column; basis\n"
+     "is k x p int64, the labels of each tableau's basis.  Returns the k\n"
+     "statuses: 0 if optimal, 1 if the iteration cap was hit."},
     {NULL, NULL, 0, NULL},
 };
 

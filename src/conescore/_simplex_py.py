@@ -12,22 +12,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def pivot_loop(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> int:
-    """Run Bland-rule pivots on tableau T in place until optimal.
+def _loop(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> int:
+    """Run Bland-rule pivots on one tableau T in place until optimal:
+    pivot_batch's path for a stack of one.
 
     T is (p+1) x (q+1): p constraint rows, one reduced-cost row, rhs in the
     last column.  Returns 0 if optimal, 1 if the iteration cap was hit.
     A column with negative reduced cost but no entry above eps is skipped:
     the phase-1 objective is bounded below, so that signal is numerical noise.
     """
-    return _loop(T, basis, eps, max_iter)
-
-
-def _loop(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> int:
-    """pivot_loop's body.  pivot_batch calls it by this name: a tracer that
-    rebinds pivot_loop, wherever it is bound, must not see stack slices."""
-    p = T.shape[0] - 1
-    q = T.shape[1] - 1
+    p, q = T.shape[0] - 1, T.shape[1] - 1
     cost, cons, rhs = T[p, :q], T[:p], T[:p, q]
     for _ in range(max_iter):
         # entering: the smallest negative-cost column with an entry above eps
@@ -59,15 +53,16 @@ def _loop(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> int:
 
 
 def pivot_batch(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> list[int]:
-    """Run pivot_loop on every tableau of the stack T, in place, at once.
+    """Run Bland-rule pivots on every tableau of the stack T, in place, at
+    once, until each is optimal.
 
     T is k x (p+1) x (q+1) and basis k x p.  Each step pivots every tableau
-    that is not yet optimal, by Bland's rule and pivot_loop's per-cell
-    operations, so each slice ends bit-identical to pivot_loop on it alone.
+    that is not yet optimal, by Bland's rule and _loop's per-cell
+    operations, so each slice ends bit-identical to _loop on it alone.
     The unfinished tableaux are kept at the front of T, so each step works
     on one contiguous view; the order is restored once at the end.  A stack
-    of one goes through pivot_loop's own loop, which is faster on one
-    tableau.  Returns the k statuses: 0 optimal, 1 iteration cap hit.
+    of one goes through _loop, which is faster on one tableau.  Returns the
+    k statuses: 0 optimal, 1 iteration cap hit.
     """
     k, p, q = T.shape[0], T.shape[1] - 1, T.shape[2] - 1
     if k < 2:

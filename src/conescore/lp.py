@@ -3,12 +3,13 @@
 Everything reduces to one phase-1 simplex with Bland's anti-cycling rule on a
 dense tableau, so results are fully deterministic.  One builder fills the
 tableaux and one reader pivots them and reads their verdicts, for a single
-LP (``phase1``) and for a stack of LPs of one shape (``_phase1_stack``,
-which every cone-membership test goes through).  The pivot loop itself is
-the hot kernel: the compiled extension built from ``_simplex.c`` is
-preferred, with the vectorized numpy ``_simplex_py`` selected at import when
-it is absent (or forced via CONESCORE_PURE=1).  Both run the same operations
-in the same order, so their tableaux, and every result, are bit-identical.
+LP (``phase1``, a stack of one) and for a stack of LPs of one shape
+(``_phase1_stack``, which every cone-membership test goes through).  The
+pivot loop itself is the hot kernel, with one entry, ``pivot_batch``: the
+compiled extension built from ``_simplex.c`` is preferred, with the
+vectorized numpy ``_simplex_py`` selected at import when it is absent (or
+forced via CONESCORE_PURE=1).  Both run the same operations in the same
+order, so their tableaux, and every result, are bit-identical.
 
 Only ``kernel_name`` is public.  The solvers are internal: their callers in
 the package pass finite float arrays of matching shapes, which the solvers
@@ -26,16 +27,16 @@ from .errors import NotPointedError, ResourceCapError
 from .linalg import DEFAULT_TOL, Tolerances, _unit_rows, orthonormal_basis
 
 if os.environ.get("CONESCORE_PURE"):
-    from ._simplex_py import pivot_batch, pivot_loop
+    from ._simplex_py import pivot_batch
 
     _KERNEL = "python"
 else:
     try:
-        from ._simplex import pivot_batch, pivot_loop  # type: ignore[no-redef]
+        from ._simplex import pivot_batch  # type: ignore[no-redef]
 
         _KERNEL = "compiled"
     except ImportError:  # pragma: no cover - build environment dependent
-        from ._simplex_py import pivot_batch, pivot_loop  # type: ignore[no-redef]
+        from ._simplex_py import pivot_batch  # type: ignore[no-redef]
 
         _KERNEL = "python"
 
@@ -85,9 +86,18 @@ def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
     is the l1 norm of b.  Raises ResourceCapError when the pivot loop hits
     its iteration cap.
     """
-    T, basis = _tableaux(A, b[None])
-    feasible, x = _solve(T[0], basis[0], pivot_loop, tol.feas_tol)
-    return bool(feasible), x
+    feasible, x = _solve(*_tableaux(A, b[None]), pivot_loop, tol.feas_tol)
+    return bool(feasible[0]), x[0]
+
+
+def pivot_loop(T: np.ndarray, basis: np.ndarray, eps: float, max_iter: int) -> int:
+    """pivot_batch on a stack of one tableau; its status as an int.
+
+    phase1 pivots through this name because perfbench/tracer.py wraps
+    ``lp.pivot_loop`` as its ``simplex`` layer, and counts pivots by calling
+    it with max_iter=1 until it returns 0.
+    """
+    return pivot_batch(T, basis, eps, max_iter)[0]
 
 
 def _tableaux(A: np.ndarray, B: np.ndarray, keep: np.ndarray | None = None):
@@ -112,21 +122,21 @@ def _tableaux(A: np.ndarray, B: np.ndarray, keep: np.ndarray | None = None):
 
 
 def _solve(T: np.ndarray, basis: np.ndarray, kernel, bound):
-    """Pivot one tableau of _tableaux (kernel pivot_loop) or a stack of them
-    (kernel pivot_batch) in place; (feasible, x), with x the basic solution
-    of each and feasible whether its l1 residual reaches bound.  Raises
-    ResourceCapError when any tableau hits the iteration cap,
+    """Pivot a stack of tableaux of _tableaux in place with kernel
+    (pivot_batch, or pivot_loop on a stack of one); (feasible, x), with x
+    the basic solution of each and feasible whether its l1 residual reaches
+    bound.  Raises ResourceCapError when any tableau hits the iteration cap,
     50 (p + q) + 1000 pivots.
     """
-    p = basis.shape[-1]
-    q = T.shape[-1] - 1 - p
+    k, p = basis.shape
+    q = T.shape[2] - 1 - p
     max_iter = 50 * (p + q) + 1000
     # Bland's rule cannot cycle in exact arithmetic, but rounding can make it
     if np.any(kernel(T, basis, _PIVOT_EPS, max_iter)):
         raise ResourceCapError(f"simplex did not terminate within {max_iter} pivots")
-    x = np.zeros(basis.shape[:-1] + (q + 1,))
-    np.put_along_axis(x, np.minimum(basis, q), T[..., :p, -1], axis=-1)
-    return -T[..., p, -1] <= bound, x[..., :q]
+    x = np.zeros((k, q + 1))
+    np.put_along_axis(x, np.minimum(basis, q), T[:, :p, -1], axis=1)
+    return -T[:, p, -1] <= bound, x[:, :q]
 
 
 def _phase1_stack(G: np.ndarray, X: np.ndarray, bound: np.ndarray,

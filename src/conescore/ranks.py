@@ -249,8 +249,11 @@ def cone_ranks(
     of the pointed part.  The elimination needs a pointed part, which the
     zero-combination LP of ``is_pointed`` decides: at ell > 0 one more such
     LP on the projected rows, which raises NotPointedError when it finds a
-    line the decomposition missed.
+    line the decomposition missed.  Raises InputError unless kinds is a
+    tuple of RankKind members.
     """
+    if not (isinstance(kinds, tuple) and all(isinstance(k, RankKind) for k in kinds)):
+        raise InputError(f"kinds must be a tuple of RankKind members, got {kinds!r}")
     dec = decompose(W, tol)
     P, outside = dec.pointed_generators, dec.outside_rows
     lineal, inside = dec.lineal_generators, dec.inside_rows

@@ -42,6 +42,7 @@ INTERNAL = {
     "FeasibilityResult": "lp",
     "SeparatingHyperplane": "lp",
     "solve_feasibility": "lp",
+    "pivot_loop": "lp",
     "find_strict_separator": "lp",
     "compute_affine_hull": "linalg",
     "numeric_rank": "linalg",

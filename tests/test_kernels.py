@@ -1,11 +1,13 @@
 """Parity of the pivot kernels with each other and with the scalar loop.
 
-The vectorized ``_simplex_py.pivot_loop`` and ``pivot_batch`` are checked
-byte for byte against ``scalar_pivot_loop`` below (slice by slice, for a
-stack), which needs no C compiler.  For the compiled kernel, when none is
-installed, the extension is built from source into a
-temporary directory with the same ``setup.py build_ext`` users run, so the
-compiled-vs-pure checks run wherever a C compiler exists.
+Each kernel has one entry, ``pivot_batch``.  The pure one,
+``_simplex_py.pivot_batch``, is checked byte for byte against
+``scalar_pivot_loop`` below, slice by slice, on stacks of one tableau (its
+one-tableau loop) and of several (its vectorized steps), which needs no C
+compiler.  For the compiled kernel, when none is installed, the extension is
+built from source into a temporary directory with the same
+``setup.py build_ext`` users run, so the compiled-vs-pure checks run
+wherever a C compiler exists.
 """
 
 import importlib.util
@@ -125,13 +127,6 @@ TABLEAUX = {"gaussian": random_tableau, "tie-heavy": tie_heavy_tableau,
             "signed-zeros": signed_zero_tableau}
 
 
-def pivoted(kernel, T, basis, max_iter):
-    """(tableau bytes, basis, status) after running kernel on copies."""
-    T, basis = T.copy(), basis.copy()
-    status = kernel(T, basis, EPS, max_iter)
-    return T.tobytes(), basis.tolist(), status
-
-
 def stack(make, rng, k, p, q):
     """k tableaux of one shape from make, as a stack and a basis array."""
     tableaux, bases = zip(*(make(rng, p, q) for _ in range(k)))
@@ -162,7 +157,7 @@ def test_batch_kernel_matches_scalar_loop(rng, make, max_iter):
 @pytest.mark.parametrize("max_iter", [1, 2, 3, 5000])
 @pytest.mark.parametrize("make", list(TABLEAUX.values()), ids=list(TABLEAUX))
 def test_batch_kernel_matches_scalar_loop_on_one_tableau(rng, make, max_iter):
-    # the pure kernel pivots a stack of one with pivot_loop's own loop
+    # the pure kernel pivots a stack of one with its one-tableau loop
     for _ in range(40):
         T, basis = random_stack(rng, make, max_k=2)
         assert (batched(_simplex_py.pivot_batch, T, basis, max_iter)
@@ -208,51 +203,21 @@ def test_batch_tableaux_finish_at_different_pivots(rng):
             assert got[2] == [int(c >= max_iter) for c in counts]
 
 
-@pytest.mark.parametrize("max_iter", [1, 2, 3, 5000])
-@pytest.mark.parametrize("make", list(TABLEAUX.values()), ids=list(TABLEAUX))
-def test_vectorized_kernel_matches_scalar_loop(rng, make, max_iter):
-    for _ in range(60):
-        T, basis = make(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
-        assert (pivoted(_simplex_py.pivot_loop, T, basis, max_iter)
-                == pivoted(scalar_pivot_loop, T, basis, max_iter))
-
-
-def test_vectorized_kernel_matches_scalar_loop_on_non_finite_entries(rng):
-    # NaN and inf take the scalar loop's paths too: a NaN first ratio wins,
-    # later NaN ratios lose, and eliminated rows get an exact 0.0 pivot column
-    for _ in range(200):
-        T, basis = tie_heavy_tableau(rng, int(rng.integers(1, 8)), int(rng.integers(1, 10)))
-        u = rng.random(T.shape)
-        T[u < 0.05] = np.nan
-        T[u > 0.95] = np.inf
-        T[(u > 0.90) & (u < 0.92)] = -np.inf
-        with np.errstate(all="ignore"):
-            for max_iter in (1, 3, 200):
-                assert (pivoted(_simplex_py.pivot_loop, T, basis, max_iter)
-                        == pivoted(scalar_pivot_loop, T, basis, max_iter))
-
-
 @pytest.mark.parametrize("make", list(TABLEAUX.values()), ids=list(TABLEAUX))
 def test_one_pivot_per_call_ends_on_the_same_tableau(rng, make):
-    # a pivot counter drives the kernel with max_iter=1 until it returns 0;
-    # Bland's rule keeps no state outside T and basis, so that is one call
-    for _ in range(30):
-        T, basis = make(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
+    # a pivot counter drives the kernel with max_iter=1 until every status
+    # is 0; Bland's rule keeps no state outside T and basis, so that is one
+    # call, on a stack of one tableau and on a stack of several
+    for trial in range(30):
+        k = 1 if trial % 2 else 4
+        T, basis = stack(make, rng, k, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
         Ts, bs = T.copy(), basis.copy()
         steps = 0
-        while _simplex_py.pivot_loop(Ts, bs, EPS, 1):
+        while any(_simplex_py.pivot_batch(Ts, bs, EPS, 1)):
             steps += 1
             assert steps < 5000
-        assert (Ts.tobytes(), bs.tolist(), 0) == pivoted(_simplex_py.pivot_loop, T, basis, 5000)
-
-
-def test_kernels_bit_identical(rng, compiled):
-    for make in TABLEAUX.values():
-        for _ in range(30):
-            T, basis = make(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
-            got = pivoted(compiled.pivot_loop, T, basis, 5000)
-            assert got == pivoted(_simplex_py.pivot_loop, T, basis, 5000)
-            assert got[2] == 0
+        assert ((Ts.tobytes(), bs.tolist(), [0] * k)
+                == batched(_simplex_py.pivot_batch, T, basis, 5000))
 
 
 def test_batch_kernels_bit_identical(rng, compiled):
@@ -262,14 +227,17 @@ def test_batch_kernels_bit_identical(rng, compiled):
             for max_iter in (1, 3, 5000):
                 got = batched(compiled.pivot_batch, T, basis, max_iter)
                 assert got == batched(_simplex_py.pivot_batch, T, basis, max_iter)
+            # 5,000 pivots take every tableau to its optimum
+            assert got[2] == [0] * len(T)
 
 
 def test_compiled_batch_matches_compiled_loop_on_non_finite_entries(rng, compiled):
-    # the compiled batch runs the compiled loop on each slice, NaN bits and
-    # all; the two kernels' NaNs may differ in sign, so they are compared
-    # against each other on finite tableaux only
+    # the compiled kernel runs the same loop on each slice of a stack as on
+    # that slice alone, NaN bits and all; the two kernels' NaNs may differ
+    # in sign, so they are compared against each other on finite tableaux only
     def looped(T, basis, eps, max_iter):
-        return [compiled.pivot_loop(T[s], basis[s], eps, max_iter) for s in range(T.shape[0])]
+        return [compiled.pivot_batch(T[s:s + 1], basis[s:s + 1], eps, max_iter)[0]
+                for s in range(T.shape[0])]
 
     for _ in range(60):
         T, basis = random_stack(rng, tie_heavy_tableau)
@@ -288,18 +256,19 @@ CYCLING = json.loads((Path(__file__).resolve().parent / "cycling_tableaux.json")
                          ids=lambda c: f"seed{c['seed']}-{c['instance']}-x{c['scale']:g}")
 def test_cycling_tableaux_pivot_alike_in_every_entry(case, compiled):
     # zero-combination LPs of rank_lineality_pool cones on which Bland's rule
-    # cycles on a degenerate vertex until the pivot cap: every entry of both
-    # kernels must still end on the same bits, and the status recorded
-    # shows whether the cap is still reached
-    T = np.array(case["tableau"])
-    basis = np.array(case["basis"], dtype=np.int64)
+    # cycles on a degenerate vertex until the pivot cap: both kernels, on a
+    # stack of one and on a stack of two copies (the pure kernel's two
+    # paths), must still end on the scalar loop's bits, and the status
+    # recorded shows whether the cap is still reached
+    T = np.array(case["tableau"])[None]
+    basis = np.array(case["basis"], dtype=np.int64)[None]
     n = case["max_iter"]
-    want = pivoted(_simplex_py.pivot_loop, T, basis, n)
-    assert pivoted(compiled.pivot_loop, T, basis, n) == want
+    want = batched(scalar_pivot_batch, T, basis, n)
+    assert want[2] == [case["status"]]
     for kernel in (_simplex_py.pivot_batch, compiled.pivot_batch):
-        got = batched(kernel, T[None], basis[None], n)
-        assert (got[0], got[1][0], got[2][0]) == want
-    assert want[2] == case["status"]
+        assert batched(kernel, T, basis, n) == want
+        got = batched(kernel, np.repeat(T, 2, axis=0), np.repeat(basis, 2, axis=0), n)
+        assert got == (want[0] * 2, want[1] * 2, want[2] * 2)
 
 
 def degenerate_tableaux(rng):
@@ -317,15 +286,6 @@ def degenerate_tableaux(rng):
 
 
 @pytest.mark.parametrize("kernel", ["scalar", "vectorized", "compiled"])
-def test_no_rows_or_no_columns_stop_at_once(request, rng, kernel):
-    loop = {"scalar": scalar_pivot_loop, "vectorized": _simplex_py.pivot_loop}.get(kernel)
-    if loop is None:
-        loop = request.getfixturevalue("compiled").pivot_loop
-    for T, basis in degenerate_tableaux(rng):
-        assert pivoted(loop, T, basis, 5000) == (T.tobytes(), basis.tolist(), 0)
-
-
-@pytest.mark.parametrize("kernel", ["scalar", "vectorized", "compiled"])
 def test_batch_of_no_rows_or_no_columns_stops_at_once(request, rng, kernel):
     loop = {"scalar": scalar_pivot_batch, "vectorized": _simplex_py.pivot_batch}.get(kernel)
     if loop is None:
@@ -337,36 +297,21 @@ def test_batch_of_no_rows_or_no_columns_stops_at_once(request, rng, kernel):
 
 
 def test_iteration_cap_stops_both_kernels_alike(rng, compiled):
-    T, basis = random_tableau(rng, 6, 8)
-    states = []
-    for kernel in (compiled.pivot_loop, _simplex_py.pivot_loop):
-        Tk, bk = T.copy(), basis.copy()
-        assert kernel(Tk, bk, 1e-11, 1) == 1
-        # the capped tableau is not optimal yet: one more call pivots again
-        assert kernel(Tk.copy(), bk.copy(), 1e-11, 1) == 1
-        states.append((Tk, bk))
-    (T1, b1), (T2, b2) = states
-    assert np.array_equal(b1, b2)
-    assert np.array_equal(T1, T2)
+    for k in (1, 3):
+        T, basis = stack(random_tableau, rng, k, 6, 8)
+        states = []
+        for kernel in (compiled.pivot_batch, _simplex_py.pivot_batch):
+            Tk, bk = T.copy(), basis.copy()
+            assert kernel(Tk, bk, 1e-11, 1) == [1] * k
+            # the capped tableaux are not optimal yet: one more call pivots again
+            assert kernel(Tk.copy(), bk.copy(), 1e-11, 1) == [1] * k
+            states.append((Tk.tobytes(), bk.tolist()))
+        assert states[0] == states[1]
 
 
 def _read_only(a):
     a.flags.writeable = False
     return a
-
-
-@pytest.mark.parametrize("make", [
-    lambda T, b: (T, b.astype(np.int32)),
-    lambda T, b: (T.astype(np.float32), b),
-    lambda T, b: (np.asfortranarray(T), b),
-    lambda T, b: (_read_only(T), b),
-    lambda T, b: (T, b[:-1]),
-], ids=["int32-basis", "float32-T", "fortran-T", "read-only-T", "short-basis"])
-def test_bad_buffers_raise(compiled, make):
-    T, basis = random_tableau(np.random.default_rng(0), 4, 5)
-    T, basis = make(T, basis)
-    with pytest.raises((TypeError, ValueError)):
-        compiled.pivot_loop(T, basis, 1e-11, 100)
 
 
 @pytest.mark.parametrize("make", [
@@ -397,9 +342,9 @@ def test_solver_results_match_kernels(rng, monkeypatch, compiled):
     for _ in range(15):
         M = rng.standard_normal((6, 4))
         c = rng.standard_normal(4)
-        monkeypatch.setattr(lp, "pivot_loop", compiled.pivot_loop)
+        monkeypatch.setattr(lp, "pivot_batch", compiled.pivot_batch)
         a = lp.solve_feasibility(M, c)
-        monkeypatch.setattr(lp, "pivot_loop", _simplex_py.pivot_loop)
+        monkeypatch.setattr(lp, "pivot_batch", _simplex_py.pivot_batch)
         b = lp.solve_feasibility(M, c)
         assert a.feasible == b.feasible
         if a.feasible:

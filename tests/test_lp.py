@@ -17,6 +17,29 @@ def test_kernel_selected():
     assert kernel_name() in ("compiled", "python")
 
 
+def test_pivot_loop_keeps_the_tracer_contract(rng):
+    # perfbench/tracer.py wraps lp.pivot_loop, phase1's kernel, as its
+    # simplex layer and counts pivots by calling it with max_iter=1 until it
+    # returns 0: the status must be an int (a list is never 0, so the count
+    # would run to the cap), and pivots one call at a time must end on the
+    # same tableau and basis as one call
+    from conescore.lp import _PIVOT_EPS, _tableaux, pivot_loop
+
+    assert pivot_loop.__module__ == "conescore.lp"
+    for _ in range(30):
+        p, q = (int(n) for n in rng.integers(1, 9, 2))
+        T, basis = _tableaux(rng.standard_normal((p, q)), rng.standard_normal((1, p)))
+        Ts, bs = T.copy(), basis.copy()
+        status = pivot_loop(T, basis, _PIVOT_EPS, 5000)
+        assert type(status) is int and status == 0
+        steps = 0
+        while (status := pivot_loop(Ts, bs, _PIVOT_EPS, 1)) != 0:
+            assert type(status) is int and status == 1
+            steps += 1
+            assert steps < 5000
+        assert (Ts.tobytes(), bs.tolist()) == (T.tobytes(), basis.tolist())
+
+
 class TestSolveFeasibility:
     def test_axis_combination(self):
         M, c = np.eye(2), np.array([1.0, 1.0])

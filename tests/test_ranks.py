@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conescore import (
     GeneratorSet,
+    InputError,
     NotPointedError,
     RankKind,
     ResourceCapError,
@@ -47,18 +48,19 @@ def sequential_extreme_rows(W, tol, columns=None):
 
 
 def count_membership_lps(monkeypatch):
-    """A list that grows by the depth of each stack handed to the batch
-    kernel: every membership LP goes through one, and no other LP does."""
-    import conescore.lp
+    """A list that grows by the number of LPs in each stack that
+    cone._phase1_stack solves: every membership LP goes through it, and no
+    other LP does (phase1 pivots its one LP through lp.pivot_loop)."""
+    import conescore.cone
 
     solved = []
-    batch = conescore.lp.pivot_batch
+    solve = conescore.cone._phase1_stack
 
-    def counting_batch(T, *args):
-        solved.append(T.shape[0])
-        return batch(T, *args)
+    def counting(G, X, *args):
+        solved.append(X.shape[0])
+        return solve(G, X, *args)
 
-    monkeypatch.setattr(conescore.lp, "pivot_batch", counting_batch)
+    monkeypatch.setattr(conescore.cone, "_phase1_stack", counting)
     return solved
 
 
@@ -490,6 +492,13 @@ def test_rank_kinds_tagged():
 
 
 class TestConeRanks:
+    @pytest.mark.parametrize("kinds", [("csr",), "cgr", RankKind.CR],
+                             ids=["tuple-of-strings", "string", "bare-member"])
+    def test_kinds_must_be_a_tuple_of_rank_kinds(self, kinds):
+        W = fixture_generators("square_cone_generators.json")
+        with pytest.raises(InputError, match="tuple of RankKind members"):
+            cone_ranks(W, kinds=kinds)
+
     def test_one_elimination_for_csr_and_cgr(self, rng, monkeypatch):
         G = random_pointed_rows(rng, 6, 3)
         G = np.vstack([G, rng.random(6) @ G, 2.0 * G[3]])
