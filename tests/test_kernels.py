@@ -220,6 +220,16 @@ def test_one_pivot_per_call_ends_on_the_same_tableau(rng, make):
                 == batched(_simplex_py.pivot_batch, T, basis, 5000))
 
 
+def test_kernels_bit_identical(rng, compiled):
+    # one tableau at a time: a stack of one, the pure kernel's scalar path
+    for make in TABLEAUX.values():
+        for _ in range(30):
+            T, basis = make(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)))
+            got = batched(compiled.pivot_batch, T[None], basis[None], 5000)
+            assert got == batched(_simplex_py.pivot_batch, T[None], basis[None], 5000)
+            assert got[2] == [0]
+
+
 def test_batch_kernels_bit_identical(rng, compiled):
     for make in TABLEAUX.values():
         for _ in range(20):
