@@ -108,14 +108,10 @@ def load_problem(path: str, as_csv: bool = False, csv_role: str = "metrics_sampl
     )
 
 
-def _mat(M: np.ndarray) -> list:
-    return np.atleast_2d(M).tolist()
-
-
 def _rank_payload(res: RankResult) -> dict:
     return {
         "value": res.value,
-        "witness": _mat(res.witness.generators) if res.witness.m else [],
+        "witness": res.witness.generators.tolist(),
         "subset_indices": list(res.subset_indices) if res.subset_indices is not None else None,
         "relation": res.relation,
     }
@@ -177,11 +173,10 @@ def _decompose(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str
     return {
         "decomposition": {
             "ell": dec.ell,
-            "lineality_basis_columns": _mat(dec.lineality_basis.T) if dec.ell else [],
+            "lineality_basis_columns": dec.lineality_basis.T.tolist(),
             "lineal_generator_indices": list(dec.inside_rows),
             "pointed_generator_indices": list(dec.outside_rows),
-            "pointed_generators": _mat(dec.pointed_generators.generators)
-            if dec.pointed_generators.m else [],
+            "pointed_generators": dec.pointed_generators.generators.tolist(),
             "pointed_count": dec.pointed_generators.m,
         },
     }, warnings, 0
@@ -228,8 +223,8 @@ def _design(p: ProblemFile, args: argparse.Namespace) -> tuple[dict, list[str], 
     return {
         "design": {
             "k": design.k,
-            "A": _mat(design.A) if design.k else [],
-            "V": _mat(design.V) if design.k else [],
+            "A": design.A.tolist(),
+            "V": design.V.tolist(),
             "restriction": design.restriction.value,
             "objective": design.objective.value,
             "minimality_certified": design.minimality_certified,

@@ -1,4 +1,4 @@
-"""Small dense LP feasibility solver and strict separation.
+"""Small dense LP feasibility solver.
 
 Everything reduces to one phase-1 simplex with Bland's anti-cycling rule on a
 dense tableau, so results are fully deterministic.  One builder fills the
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPointedError, ResourceCapError
-from .linalg import DEFAULT_TOL, Tolerances, _unit_rows, orthonormal_basis
+from .errors import ResourceCapError
+from .linalg import DEFAULT_TOL, Tolerances
 
 if os.environ.get("CONESCORE_PURE"):
     from ._simplex_py import pivot_batch
@@ -64,16 +64,6 @@ class FeasibilityResult:
 
     feasible: bool
     witness: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class SeparatingHyperplane:
-    """Hyperplane {x : normal . x = offset} strictly separating the origin
-    from the unit-normalized generators (normal . w_i >= 1 > offset > 0)."""
-
-    normal: np.ndarray
-    offset: float
-    ambient_basis: np.ndarray
 
 
 def phase1(A: np.ndarray, b: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -170,28 +160,3 @@ def solve_feasibility(M: np.ndarray, target: np.ndarray,
     """
     feasible, lam = phase1(M.T, target, tol)
     return FeasibilityResult(feasible, lam if feasible else None)
-
-
-def find_strict_separator(W: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> SeparatingHyperplane:
-    """Hyperplane in span(W) strictly separating the origin from cone(W).
-
-    W is an m x n array of nonzero generator rows.  Generators are scaled to
-    unit length first; the returned normal w satisfies w . w_i >= 1 for every
-    unit generator, with offset b = 1/2.  Raises NotPointedError when no
-    separator exists (non-pointed cone).
-    """
-    U, _ = _unit_rows(W)
-    B = orthonormal_basis(U, tol)  # n x r
-    r = B.shape[1]
-    m = U.shape[0]
-    C = U @ B  # m x r coefficients
-
-    # variables (y+, y-, s) >= 0 with C y - s = 1
-    M_sep = np.vstack([C.T, -C.T, -np.eye(m)])
-    res = solve_feasibility(M_sep, np.ones(m), tol)
-    if not res.feasible:
-        raise NotPointedError("no strict separator exists")
-    lam = res.witness
-    y = lam[:r] - lam[r:2 * r]
-    w = B @ y
-    return SeparatingHyperplane(normal=w, offset=0.5, ambient_basis=B)

@@ -33,7 +33,7 @@ from .linalg import (
     numeric_rank,
     orthonormal_basis,
 )
-from .lp import SeparatingHyperplane, find_strict_separator
+from .lp import solve_feasibility
 
 __all__ = ["RankKind", "RankResult", "cone_ranks"]
 
@@ -146,29 +146,55 @@ def csr_subspace(
     raise InputError("generators do not positively span their span")
 
 
+def find_strict_separator(W: np.ndarray, tol: Tolerances = DEFAULT_TOL
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """Hyperplane in span(W) strictly separating the origin from cone(W).
+
+    W is an m x n array of nonzero generator rows.  Generators are scaled to
+    unit length first.  Returns (normal, basis): basis is the n x r
+    orthonormal basis of span(W) the separator is found in, and the normal w
+    in its span satisfies w . w_i >= 1 for every unit generator, so the
+    hyperplane w . x = 1/2 separates them from the origin.  Raises
+    NotPointedError when no separator exists (non-pointed cone).
+    """
+    U, _ = _unit_rows(W)
+    B = orthonormal_basis(U, tol)  # n x r
+    r = B.shape[1]
+    m = U.shape[0]
+    C = U @ B  # m x r coefficients
+
+    # variables (y+, y-, s) >= 0 with C y - s = 1
+    M_sep = np.vstack([C.T, -C.T, -np.eye(m)])
+    res = solve_feasibility(M_sep, np.ones(m), tol)
+    if not res.feasible:
+        raise NotPointedError("no strict separator exists")
+    lam = res.witness
+    y = lam[:r] - lam[r:2 * r]
+    return B @ y, B
+
+
 def enclosing_simplex(
-    U: np.ndarray, hyperplane: SeparatingHyperplane, tol: Tolerances = DEFAULT_TOL
+    U: np.ndarray, normal: np.ndarray, basis: np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
-    """Vertices of a regular simplex on the hyperplane containing all of U.
+    """Vertices of a regular simplex on the hyperplane normal . x = 1/2 in
+    span(basis) containing all of U.
 
     U is a nonempty 2-D array of points that lie on the hyperplane, which is
-    the caller's to establish.  With r = dim of the hyperplane's ambient
-    span, returns r vertices of a regular (r-1)-simplex with incenter at the
-    mean of U and inradius max-distance * (1 + cone_tol), which contains
-    every point of U (at r = 1, the mean of U, the one point of the
-    hyperplane).  No LP is solved and nothing is checked here: the caller
-    certifies the witness it lifts from them.
+    the caller's to establish.  With r = dim span(basis), returns r vertices
+    of a regular (r-1)-simplex with incenter at the mean of U and inradius
+    max-distance * (1 + cone_tol), which contains every point of U (at
+    r = 1, the mean of U, the one point of the hyperplane).  No LP is solved
+    and nothing is checked here: the caller certifies the witness it lifts
+    from them.
     """
-    B = hyperplane.ambient_basis
-    w = hyperplane.normal
-    r = B.shape[1]
+    r = basis.shape[1]
     ubar = U.mean(axis=0)
     R = float(np.max(np.linalg.norm(U - ubar, axis=1), initial=0.0))
     rho = R * (1.0 + tol.cone_tol) if R > tol.rank_tol else 1.0
 
-    # in-hyperplane directions: span(B) with the normal projected out
-    w_unit = w / np.linalg.norm(w)
-    H = orthonormal_basis(B.T - np.outer(B.T @ w_unit, w_unit), tol)  # n x (r-1)
+    # in-hyperplane directions: span(basis) with the normal projected out
+    w_unit = normal / np.linalg.norm(normal)
+    H = orthonormal_basis(basis.T - np.outer(basis.T @ w_unit, w_unit), tol)  # n x (r-1)
     # regular simplex with r vertices in R^{r-1}, centroid 0, circumradius
     # sqrt((r-1)/r), inradius = circumradius/(r-1)
     E = np.eye(r) - np.full((r, r), 1.0 / r)
@@ -199,32 +225,33 @@ def _simplicial_members(G: np.ndarray, B: np.ndarray, verts: np.ndarray,
 
 
 def _enclosing_rows(W: GeneratorSet, tol: Tolerances) -> np.ndarray:
-    """rank(W) vectors whose cone encloses a pointed K_W.
+    """r vectors whose cone encloses a pointed K_W, r the rank of its unit
+    rows.
 
-    Works in the r-dimensional coefficient space of span(W): strictly
-    separate the unit generators from the origin, scale them onto the
-    hyperplane, enclose them in a regular simplex, and lift the vertices back.  The r vertices
-    lie on a hyperplane that misses the origin, so they are linearly
-    independent and one linear solve certifies that the lifted witness
-    contains every generator.  At numeric rank 1 the witness is the first
-    row, certified the same way.  Pointedness is the caller's to establish.
+    Works in the r-dimensional coefficient space of span(W), from one
+    orthonormal basis of the unit rows: strictly separate them from the
+    origin, scale them onto the hyperplane, enclose them in a regular
+    simplex, and lift the vertices back.  The r vertices lie on a hyperplane
+    that misses the origin, so they are linearly independent and one linear
+    solve certifies that the lifted witness contains every generator.  At
+    r = 1 the witness is the first row, certified the same way.  Pointedness
+    is the caller's to establish.
     """
     G = W.generators
     if len(G) == 0:
         return G
-    r = numeric_rank(G, tol)
+    Un, norm = _unit_rows(G)
+    B = orthonormal_basis(Un, tol)  # n x r
+    r = B.shape[1]
     if r == 1:
         # the first row is the witness; its unit direction is the basis
-        U, norm = _unit_rows(G[:1])
-        B, verts = U.T, norm[:, None]
+        B, verts = Un[:1].T, norm[:1, None]
     else:
-        Un, _ = _unit_rows(G)
-        B = orthonormal_basis(Un, tol)  # n x r
         C = Un @ B  # m x r, unit rows, full-dimensional pointed cone
-        hp = find_strict_separator(C, tol)
-        bi = C @ hp.normal  # all >= 1
-        pts = (hp.offset / bi)[:, None] * C
-        verts = enclosing_simplex(pts, hp, tol)
+        normal, basis = find_strict_separator(C, tol)
+        bi = C @ normal  # all >= 1
+        pts = (0.5 / bi)[:, None] * C
+        verts = enclosing_simplex(pts, normal, basis, tol)
     if not np.all(_simplicial_members(G, B, verts, tol)):
         raise VerificationError("enclosing witness does not contain a generator")
     return G[:1] if r == 1 else verts @ B.T

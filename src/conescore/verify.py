@@ -152,7 +152,7 @@ def check_restriction(
     # Res-LM: by Farkas, v . y >= 0 for every y with Z y >= 0 exactly when v
     # lies in the cone over the rows of Z, so this is exact monotonicity
     V = _points(design.V, hull.dim)
-    inside, _ = _members(V, GeneratorSet(hull.basis).generators, tol)
+    inside, _ = _members(V, hull.basis, tol)
     flagged = np.flatnonzero(~inside)
     return VerificationReport(V.shape[0], flagged, np.ones(flagged.size),
                               "restriction-res-lm-certificate")

@@ -7,7 +7,7 @@ from conescore import GeneratorSet, Tolerances
 from conescore.cone import ConeDecomposition, _membership_bound
 from conescore.fixtures import fixture_path
 from conescore.linalg import project_complement
-from conescore.lp import phase1
+from conescore.lp import phase1, solve_feasibility
 
 TOL = Tolerances()
 
@@ -42,6 +42,12 @@ def scalar_member(x, G, tol=TOL):
     must match it row by row, bit for bit."""
     scale, bound = _membership_bound(x, tol)
     return phase1(G.T, x / scale, Tolerances(tol.rank_tol, bound, tol.cone_tol))
+
+
+def zero_combination(M):
+    """solve_feasibility for a convex combination of the rows of M that is
+    zero: a column of ones adds the row sum(lam) = 1."""
+    return solve_feasibility(np.c_[M, np.ones(len(M))], np.append(np.zeros(M.shape[1]), 1.0))
 
 
 def random_pointed_rows(rng, m, n, margin=0.3):

@@ -40,15 +40,14 @@ PUBLIC = [
 # module-level functions named so
 INTERNAL = {
     "FeasibilityResult": "lp",
-    "SeparatingHyperplane": "lp",
     "solve_feasibility": "lp",
     "pivot_loop": "lp",
-    "find_strict_separator": "lp",
     "compute_affine_hull": "linalg",
     "numeric_rank": "linalg",
     "orthonormal_basis": "linalg",
     "project_complement": "linalg",
     "csr_subspace": "ranks",
+    "find_strict_separator": "ranks",
     "enclosing_simplex": "ranks",
 }
 
@@ -75,3 +74,5 @@ def test_internal_helpers_stay_internal():
     # solve_feasibility takes M and target directly
     assert not hasattr(conescore, "FeasibilityProblem")
     assert not hasattr(conescore.lp, "FeasibilityProblem")
+    # the separator returns (normal, basis); its hyperplane is normal . x = 1/2
+    assert not hasattr(conescore.lp, "SeparatingHyperplane")

@@ -270,13 +270,18 @@ class TestRank:
         assert dec["pointed_generator_indices"] == [2]
         assert res["warnings"] == ["dropped 1 zero generator row(s)"]
 
-    def test_uncertified_rank_one_witness_exits_4(self, tmp_path, capsys):
-        code, res = run(tmp_path, "rank", {"generators": [[1e-5, 1e-5], [3e4, -1e4]]},
-                        "--kind", "cr")
-        assert code == 4
-        assert res is None
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    def test_mixed_scale_wedge_keeps_the_chain(self, tmp_path, capsys):
+        # rows 1e9 apart in size: the raw rows' numeric rank is 1, while CR
+        # is the rank of the unit rows, which span the plane
+        code, res = run(tmp_path, "rank", load_fixture("mixed_scale_wedge_2d.json"),
+                        "--kind", "all")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        ranks = res["ranks"]
+        chain = [res["m"], *(ranks[k]["value"] for k in ("csr", "cgr", "cr")),
+                 res["numeric_rank"]]
+        assert chain == [2, 2, 2, 2, 1]
+        assert res["chain_ok"] is True
 
     def test_failed_cr_certificate_exits_4(self, tmp_path, capsys, monkeypatch):
         import conescore.ranks

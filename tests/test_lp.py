@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from conescore import GeneratorSet, NotPointedError, ResourceCapError, kernel_name
+from conescore import ResourceCapError, kernel_name
 from conescore.linalg import Tolerances
-from conescore.lp import _phase1_stack, find_strict_separator, phase1, solve_feasibility
-from conftest import TOL, load_fixture, random_cone_rows
-
-
-def zero_combination(M):
-    """solve_feasibility for a convex combination of the rows of M that is
-    zero: a column of ones adds the row sum(lam) = 1."""
-    return solve_feasibility(np.c_[M, np.ones(len(M))], np.append(np.zeros(M.shape[1]), 1.0))
+from conescore.lp import _phase1_stack, phase1, solve_feasibility
+from conftest import TOL, zero_combination
 
 
 def test_kernel_selected():
@@ -159,47 +153,3 @@ class TestPhase1Batch:
         monkeypatch.setattr(conescore.lp, "pivot_batch", lambda T, *args: [0, 1, 0])
         with pytest.raises(ResourceCapError, match="within 1200 pivots"):
             _phase1_stack(np.eye(2), np.ones((3, 2)), np.full(3, 1e-8))
-
-
-class TestStrictSeparator:
-    def test_single_ray(self):
-        hp = find_strict_separator(np.array([[2.0, 1.0], [4.0, 2.0]]))
-        u = np.array([2.0, 1.0]) / np.sqrt(5)
-        assert hp.offset == 0.5
-        assert hp.normal @ u >= 1.0 - TOL.feas_tol
-
-    def test_orthant(self):
-        hp = find_strict_separator(np.eye(4))
-        assert np.all(np.eye(4) @ hp.normal >= 1.0 - TOL.feas_tol)
-
-    def test_square_cone(self):
-        G = np.array(load_fixture("square_cone_generators.json")["generators"])
-        hp = find_strict_separator(G)
-        U = G / np.linalg.norm(G, axis=1)[:, None]
-        b_i = U @ hp.normal
-        # strict separation margin guaranteed by the 1-vs-1/2 normalization
-        assert np.min(b_i) - hp.offset >= 0.25 - TOL.feas_tol
-
-    def test_huge_rows(self):
-        # squaring these rows overflows; their unit rows are (+-1, 1)/sqrt(2)
-        hp = find_strict_separator(np.array([[1e200, 1e200], [-1e200, 1e200]]))
-        U = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-        assert np.all(U @ hp.normal >= 1.0 - TOL.feas_tol)
-
-    def test_non_pointed_rejected(self):
-        with pytest.raises(NotPointedError, match="no strict separator"):
-            find_strict_separator(np.array([[2.0, 1.0], [-2.0, -1.0]]))
-
-    def test_dichotomy_with_lp1(self, rng):
-        # a separator exists exactly when no convex zero-combination does
-        for trial in range(30):
-            G = random_cone_rows(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5)), trial % 3)
-            W = GeneratorSet.from_rows(G)
-            lp1 = zero_combination(W.generators)
-            if lp1.feasible:
-                with pytest.raises(NotPointedError):
-                    find_strict_separator(W.generators)
-            else:
-                hp = find_strict_separator(W.generators)
-                U = W.generators / np.linalg.norm(W.generators, axis=1)[:, None]
-                assert np.all(U @ hp.normal >= 1.0 - TOL.feas_tol)

@@ -20,16 +20,23 @@ from conescore import (
     is_pointed,
 )
 from conescore.linalg import _pow2_rows, numeric_rank, orthonormal_basis
-from conescore.lp import find_strict_separator, solve_feasibility
-from conescore.ranks import _extreme_rows, csr_subspace, enclosing_simplex
+from conescore.lp import solve_feasibility
+from conescore.ranks import (
+    _extreme_rows,
+    csr_subspace,
+    enclosing_simplex,
+    find_strict_separator,
+)
 from conftest import (
     TOL,
     fixture_generators,
+    load_fixture,
     plane_with_a_missed_line,
     random_cone_rows,
     random_pointed_rows,
     random_rotation,
     scalar_member,
+    zero_combination,
 )
 
 
@@ -285,6 +292,51 @@ class TestCrPointed:
         assert not check_cone_subset(V, W)
 
 
+class TestStrictSeparator:
+    def test_single_ray(self):
+        normal, basis = find_strict_separator(np.array([[2.0, 1.0], [4.0, 2.0]]))
+        u = np.array([2.0, 1.0]) / np.sqrt(5)
+        assert basis.shape == (2, 1)
+        assert normal @ u >= 1.0 - TOL.feas_tol
+
+    def test_orthant(self):
+        normal, _ = find_strict_separator(np.eye(4))
+        assert np.all(np.eye(4) @ normal >= 1.0 - TOL.feas_tol)
+
+    def test_square_cone(self):
+        G = np.array(load_fixture("square_cone_generators.json")["generators"])
+        normal, _ = find_strict_separator(G)
+        U = G / np.linalg.norm(G, axis=1)[:, None]
+        b_i = U @ normal
+        # strict separation margin from the hyperplane normal . x = 1/2,
+        # guaranteed by the 1-vs-1/2 normalization
+        assert np.min(b_i) - 0.5 >= 0.25 - TOL.feas_tol
+
+    def test_huge_rows(self):
+        # squaring these rows overflows; their unit rows are (+-1, 1)/sqrt(2)
+        normal, _ = find_strict_separator(np.array([[1e200, 1e200], [-1e200, 1e200]]))
+        U = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        assert np.all(U @ normal >= 1.0 - TOL.feas_tol)
+
+    def test_non_pointed_rejected(self):
+        with pytest.raises(NotPointedError, match="no strict separator"):
+            find_strict_separator(np.array([[2.0, 1.0], [-2.0, -1.0]]))
+
+    def test_dichotomy_with_lp1(self, rng):
+        # a separator exists exactly when no convex zero-combination does
+        for trial in range(30):
+            G = random_cone_rows(rng, int(rng.integers(2, 9)), int(rng.integers(2, 5)), trial % 3)
+            W = GeneratorSet.from_rows(G)
+            lp1 = zero_combination(W.generators)
+            if lp1.feasible:
+                with pytest.raises(NotPointedError):
+                    find_strict_separator(W.generators)
+            else:
+                normal, _ = find_strict_separator(W.generators)
+                U = W.generators / np.linalg.norm(W.generators, axis=1)[:, None]
+                assert np.all(U @ normal >= 1.0 - TOL.feas_tol)
+
+
 class TestEnclosingSimplex:
     def _hyperplane(self, rng, n, r):
         B = orthonormal_basis(rng.standard_normal((r, n)))
@@ -292,37 +344,37 @@ class TestEnclosingSimplex:
         return find_strict_separator(W.generators)
 
     def test_single_point(self, rng):
-        hp = self._hyperplane(rng, 4, 3)
-        u = 0.5 * hp.normal / (hp.normal @ hp.normal)
-        verts = enclosing_simplex(u.reshape(1, -1), hp)
+        normal, basis = self._hyperplane(rng, 4, 3)
+        u = 0.5 * normal / (normal @ normal)
+        verts = enclosing_simplex(u.reshape(1, -1), normal, basis)
         assert verts.shape[0] == 3
 
     def test_rank_one_is_the_point_itself(self):
         # at r = 1 the hyperplane meets span(W) in one point, which is the
         # whole simplex: its mean, with nothing degenerate along the way
-        hp = find_strict_separator(np.array([[2.0, 1.0, 0.0]]))
+        normal, basis = find_strict_separator(np.array([[2.0, 1.0, 0.0]]))
         u = np.array([2.0, 1.0, 0.0]) / np.sqrt(5.0)
-        point = ((hp.offset / (hp.normal @ u)) * u).reshape(1, -1)
+        point = ((0.5 / (normal @ u)) * u).reshape(1, -1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            verts = enclosing_simplex(point, hp)
+            verts = enclosing_simplex(point, normal, basis)
         np.testing.assert_array_equal(verts, point)
 
     def test_square_points_get_triangle(self):
         W = fixture_generators("square_cone_generators.json")
-        hp = find_strict_separator(W.generators)
+        normal, basis = find_strict_separator(W.generators)
         U = W.generators  # already unit rows
-        pts = (hp.offset / (U @ hp.normal))[:, None] * U
-        verts = enclosing_simplex(pts, hp)
+        pts = (0.5 / (U @ normal))[:, None] * U
+        verts = enclosing_simplex(pts, normal, basis)
         assert verts.shape == (3, 3)
 
     def test_random_plane_points(self, rng):
-        hp = self._hyperplane(rng, 4, 3)
-        w = hp.normal
-        x0 = hp.offset * w / (w @ w)
-        H = orthonormal_basis(hp.ambient_basis.T - np.outer(hp.ambient_basis.T @ (w / np.linalg.norm(w)), w / np.linalg.norm(w)))
+        w, basis = self._hyperplane(rng, 4, 3)
+        x0 = 0.5 * w / (w @ w)
+        w_unit = w / np.linalg.norm(w)
+        H = orthonormal_basis(basis.T - np.outer(basis.T @ w_unit, w_unit))
         pts = x0 + rng.standard_normal((20, H.shape[1])) @ H.T
-        verts = enclosing_simplex(pts, hp)
+        verts = enclosing_simplex(pts, w, basis)
         # u is a convex combination of the vertices: a column of ones adds
         # the row sum(lam) = 1
         rows = np.c_[verts, np.ones(len(verts))]
@@ -400,6 +452,7 @@ class TestCrCertificate:
         # one for the decomposition, one for the separator
         import conescore.cone
         import conescore.lp
+        import conescore.ranks
 
         calls = []
         real = conescore.lp.solve_feasibility
@@ -408,8 +461,8 @@ class TestCrCertificate:
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(conescore.lp, "solve_feasibility", counting)
         monkeypatch.setattr(conescore.cone, "solve_feasibility", counting)
+        monkeypatch.setattr(conescore.ranks, "solve_feasibility", counting)
         W = GeneratorSet.from_rows(random_pointed_rows(rng, 15, 5))
         ranks = cone_ranks(W, TOL, kinds=(RankKind.CR,))
         assert ranks[RankKind.CR].value == 5
@@ -428,14 +481,36 @@ class TestCrCertificate:
         with pytest.raises(VerificationError, match="does not contain a generator"):
             cone_ranks(fixture_generators("square_cone_generators.json"), kinds=(RankKind.CR,))
 
-    def test_rank_one_witness_is_certified(self):
-        # numeric rank 1 (the threshold scales with the largest singular
-        # value), yet the first row's ray misses the second row
-        W = GeneratorSet.from_rows([[1e-5, 1e-5], [3e4, -1e4]])
+    def test_mixed_scale_wedge_has_the_rank_of_its_unit_rows(self):
+        # numeric rank 1 on the raw rows (the threshold scales with the
+        # largest singular value), yet the first row's ray misses the
+        # second row: the unit rows span the plane, so CR = 2
+        W = fixture_generators("mixed_scale_wedge_2d.json")
         assert numeric_rank(W.generators) == 1
         assert not is_in_cone(W.generators[1], GeneratorSet.from_rows(W.generators[:1]))
-        with pytest.raises(VerificationError, match="does not contain a generator"):
-            cone_ranks(W, kinds=(RankKind.CR,))
+        res = cone_ranks(W, kinds=(RankKind.CR,))[RankKind.CR]
+        assert res.value == 2
+        assert check_cone_subset(W, res.witness)
+
+    def test_per_row_scaling_keeps_the_value(self, monkeypatch):
+        # CR is the rank of the unit rows, read from the one basis the
+        # witness is built on, so no raw-row rank decides it
+        import conescore.ranks
+
+        def no_raw_rank(*args, **kwargs):
+            raise AssertionError("CR must not rank the raw rows")
+
+        monkeypatch.setattr(conescore.ranks, "numeric_rank", no_raw_rank)
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(n, n + 4))
+            G = random_pointed_rows(rng, m, n)
+            want = cone_ranks(GeneratorSet.from_rows(G), kinds=(RankKind.CR,))[RankKind.CR].value
+            for _ in range(5):
+                scaled = G * 10.0 ** rng.uniform(-6, 6, size=(m, 1))
+                res = cone_ranks(GeneratorSet.from_rows(scaled), kinds=(RankKind.CR,))
+                assert res[RankKind.CR].value == want, scaled
 
     def test_rank_one_witness_is_the_first_row(self):
         G = np.array([[2.0, 1.0, 0.0], [4.0, 2.0, 0.0], [0.2, 0.1, 0.0]])
